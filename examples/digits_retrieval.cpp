@@ -83,14 +83,13 @@ int main() {
   }
   std::printf("\ntop-3 matches (labels:");
   for (const auto& nb : demo.neighbors) {
-    std::printf(" %d", labels[db_ids[nb.index]]);
+    std::printf(" %d", labels[nb.index]);
   }
   std::printf(") using %zu exact distances instead of %zu:\n",
               demo.exact_distances, kDbSize);
   for (const auto& nb : demo.neighbors) {
     std::printf("\n  match at distance %.3f:\n", nb.score);
-    for (const auto& row : RenderAscii(oracle.object(db_ids[nb.index]),
-                                       24, 12)) {
+    for (const auto& row : RenderAscii(oracle.object(nb.index), 24, 12)) {
       std::printf("  %s\n", row.c_str());
     }
   }
@@ -114,7 +113,7 @@ int main() {
   for (size_t qi = 0; qi < results.size(); ++qi) {
     const RetrievalResponse& r = results[qi];
     total_cost += r.exact_distances;
-    if (labels[db_ids[r.neighbors[0].index]] == labels[kDbSize + qi]) {
+    if (labels[r.neighbors[0].index] == labels[kDbSize + qi]) {
       ++correct;
     }
   }

@@ -7,21 +7,10 @@
 #include <utility>
 
 #include "src/util/logging.h"
-#include "src/util/parallel.h"
 #include "src/util/timer.h"
 
 namespace qse {
 namespace net {
-namespace {
-
-uint64_t NsSince(MonotonicClock::time_point start) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          MonotonicClock::now() - start)
-          .count());
-}
-
-}  // namespace
 
 HedgedReplicaBackend::HedgedReplicaBackend(
     std::vector<std::shared_ptr<RetrievalBackend>> replicas,
@@ -122,10 +111,11 @@ StatusOr<T> HedgedReplicaBackend::HedgedCall(
         }
       }
       state->cv.notify_all();
-      {
-        std::lock_guard<std::mutex> lock(inflight_mu_);
-        --inflight_;
-      }
+      // Notify under the lock: the destructor may return (and destroy
+      // the condition variable) as soon as it sees inflight_ == 0, which
+      // it cannot do before this thread releases inflight_mu_.
+      std::lock_guard<std::mutex> lock(inflight_mu_);
+      --inflight_;
       inflight_cv_.notify_all();
     }).detach();
   };
@@ -192,32 +182,6 @@ StatusOr<ScanCandidatesResult> HedgedReplicaBackend::ScanCandidates(
   return HedgedCall<ScanCandidatesResult>([this, query, opts](size_t r) {
     return replicas_[r]->ScanCandidates(query, opts);
   });
-}
-
-StatusOr<std::vector<RetrievalResponse>> HedgedReplicaBackend::RetrieveBatch(
-    const std::vector<DxToDatabaseFn>& queries,
-    const RetrievalOptions& options) const {
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  std::vector<RetrievalResponse> results(queries.size());
-  std::mutex error_mu;
-  Status first_error = Status::OK();
-  ParallelForGrain(
-      0, queries.size(), 2,
-      [&](size_t i) {
-        RetrievalRequest one;
-        one.dx = queries[i];
-        one.options = options;
-        StatusOr<RetrievalResponse> r = Retrieve(one);
-        if (!r.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = r.status();
-          return;
-        }
-        results[i] = std::move(r).value();
-      },
-      options.num_threads);
-  QSE_RETURN_IF_ERROR(first_error);
-  return results;
 }
 
 Status HedgedReplicaBackend::Insert(size_t db_id, const DxToDatabaseFn& dx) {

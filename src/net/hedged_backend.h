@@ -67,10 +67,6 @@ class HedgedReplicaBackend : public RetrievalBackend {
   StatusOr<RetrievalResponse> Retrieve(
       const RetrievalRequest& request) const override;
 
-  StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
-      const std::vector<DxToDatabaseFn>& queries,
-      const RetrievalOptions& options) const override;
-
   StatusOr<ScanCandidatesResult> ScanCandidates(
       const Vector& embedded_query,
       const RetrievalOptions& options) const override;
@@ -85,10 +81,6 @@ class HedgedReplicaBackend : public RetrievalBackend {
   /// Max over replicas: unreachable replicas report 0 and must not make
   /// a healthy set look empty.
   size_t size() const override;
-
-  size_t db_id_of(size_t neighbor_index) const override {
-    return replicas_[0]->db_id_of(neighbor_index);
-  }
 
   size_t num_replicas() const { return replicas_.size(); }
 

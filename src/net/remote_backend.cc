@@ -5,22 +5,14 @@
 #include <utility>
 
 #include "src/obs/trace.h"
-#include "src/util/parallel.h"
 #include "src/util/timer.h"
 
 namespace qse {
 namespace net {
 namespace {
 
-uint64_t NsSince(MonotonicClock::time_point start) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          MonotonicClock::now() - start)
-          .count());
-}
-
 bool IsReadOp(WireOp op) {
-  return op == WireOp::kScan || op == WireOp::kRetrieve || op == WireOp::kInfo;
+  return op == WireOp::kScan || op == WireOp::kInfo;
 }
 
 /// Transport faults where a second attempt over a fresh connection can
@@ -49,7 +41,15 @@ RemoteRetrievalBackend::RemoteRetrievalBackend(const Embedder* embedder,
       reconnects_total_(obs::MetricRegistry::Global().GetCounter(
           "qse_remote_reconnects_total")),
       rpc_latency_ns_(obs::MetricRegistry::Global().GetHistogram(
-          "qse_remote_rpc_latency_ns", obs::DefaultLatencyBoundariesNs())) {}
+          "qse_remote_rpc_latency_ns", obs::DefaultLatencyBoundariesNs())) {
+  pipeline_.embedder = embedder_;
+  pipeline_.scan = [this](size_t, const Vector& embedded_query,
+                          const RetrievalOptions& options,
+                          obs::RequestTrace* trace) {
+    return Scan(embedded_query, options, trace);
+  };
+  pipeline_.scan_span = "rpc_scan";
+}
 
 StatusOr<Socket> RemoteRetrievalBackend::Dial(uint64_t deadline_budget_ns)
     const {
@@ -186,49 +186,26 @@ StatusOr<WireResponse> RemoteRetrievalBackend::Call(WireRequest request) const {
 StatusOr<ScanCandidatesResult> RemoteRetrievalBackend::ScanCandidates(
     const Vector& embedded_query, const RetrievalOptions& options) const {
   QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
+  return Scan(embedded_query, options, /*trace=*/nullptr);
+}
+
+StatusOr<ScanCandidatesResult> RemoteRetrievalBackend::Scan(
+    const Vector& embedded_query, const RetrievalOptions& options,
+    obs::RequestTrace* trace) const {
   WireRequest request;
   request.op = WireOp::kScan;
   request.options = options;
   request.options.audit_monitor = nullptr;  // client-side only
+  request.want_trace = trace != nullptr;
   request.query = embedded_query;
+  const uint64_t span_start = obs::TraceNowNs(trace);
   auto response = Call(std::move(request));
   QSE_RETURN_IF_ERROR(response.status());
-  ScanCandidatesResult result;
-  result.candidates = std::move(response.value().neighbors);
-  result.rows = static_cast<size_t>(response.value().rows);
-  result.rows_pruned = static_cast<size_t>(response.value().rows_pruned);
-  return result;
-}
-
-StatusOr<RetrievalResponse> RemoteRetrievalBackend::Retrieve(
-    const RetrievalRequest& request) const {
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(request.options));
-  obs::RequestTrace* trace = request.trace.get();
-
-  // Embed client-side (the dx closure stays home), exactly the
-  // monolithic engine's first step.
-  size_t embed_cost = 0;
-  uint64_t span_start = obs::TraceNowNs(trace);
-  Vector fq = embedder_->Embed(request.dx, &embed_cost);
-  obs::TraceMark(trace, "embed", span_start);
-
-  WireRequest rpc;
-  rpc.op = WireOp::kScan;
-  rpc.options = request.options;
-  rpc.options.audit_monitor = nullptr;
-  rpc.want_trace = trace != nullptr;
-  rpc.query = std::move(fq);
-
-  span_start = obs::TraceNowNs(trace);
-  auto call = Call(std::move(rpc));
-  obs::TraceMark(trace, "rpc_scan", span_start);
-  QSE_RETURN_IF_ERROR(call.status());
-  WireResponse& scan = call.value();
-
+  WireResponse& scan = response.value();
   if (trace != nullptr) {
     // Graft server-side spans: their times are relative to the server's
     // receipt of the request, which from this trace's view is no earlier
-    // than the RPC span's start.  Clocks of two processes are never
+    // than this call's start.  Clocks of two processes are never
     // compared — only the server's own durations ride on our anchor.
     for (const WireSpan& span : scan.spans) {
       obs::TraceSpan grafted;
@@ -239,86 +216,17 @@ StatusOr<RetrievalResponse> RemoteRetrievalBackend::Retrieve(
       trace->AddSpan(std::move(grafted));
     }
   }
-
-  if (scan.rows == 0 && scan.neighbors.empty()) {
-    // The remote scan contract is OK-empty (a shard in a scatter must
-    // not fail the query); a STANDALONE retrieval against an empty
-    // database keeps the engines' FailedPrecondition contract.
-    return Status::FailedPrecondition("embedded database is empty");
-  }
-
-  // Refine with the caller's dx — identical to the engines' refine step.
-  RetrievalResponse result;
-  span_start = obs::TraceNowNs(trace);
-  std::vector<ScoredIndex>& candidates = scan.neighbors;
-  std::vector<ScoredIndex> refined;
-  refined.reserve(candidates.size());
-  for (const ScoredIndex& c : candidates) {
-    refined.push_back({c.index, request.dx(c.index)});
-  }
-  std::sort(refined.begin(), refined.end());
-  if (refined.size() > request.options.k) refined.resize(request.options.k);
-  obs::TraceMark(trace, "refine", span_start,
-                 {obs::TraceArg{"candidates",
-                                static_cast<int64_t>(candidates.size()),
-                                nullptr}});
-  result.exact_distances = embed_cost + candidates.size();
-  result.embedding_distances = embed_cost;
-  if (request.options.want_stats) {
-    // The remote database is one pseudo-shard, mirroring the monolithic
-    // engine's want_stats shape.
-    result.shard_stats = {
-        {static_cast<size_t>(scan.rows), candidates.size()}};
-  }
-  result.neighbors = std::move(refined);
-  result.trace = request.trace;
+  ScanCandidatesResult result;
+  result.candidates = std::move(scan.neighbors);
+  result.rows = static_cast<size_t>(scan.rows);
+  result.rows_pruned = static_cast<size_t>(scan.rows_pruned);
   return result;
 }
 
-StatusOr<std::vector<RetrievalResponse>> RemoteRetrievalBackend::RetrieveBatch(
-    const std::vector<DxToDatabaseFn>& queries,
-    const RetrievalOptions& options) const {
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  std::vector<RetrievalResponse> results(queries.size());
-  std::mutex error_mu;
-  Status first_error = Status::OK();
-  ParallelForGrain(
-      0, queries.size(), 2,
-      [&](size_t i) {
-        RetrievalRequest one;
-        one.dx = queries[i];
-        one.options = options;
-        StatusOr<RetrievalResponse> r = Retrieve(one);
-        if (!r.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = r.status();
-          return;
-        }
-        results[i] = std::move(r).value();
-      },
-      options.num_threads);
-  QSE_RETURN_IF_ERROR(first_error);
-  return results;
-}
-
-StatusOr<RetrievalResponse> RemoteRetrievalBackend::RetrieveRaw(
-    const std::vector<double>& raw_query,
-    const RetrievalOptions& options) const {
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  WireRequest request;
-  request.op = WireOp::kRetrieve;
-  request.options = options;
-  request.options.audit_monitor = nullptr;
-  request.query = raw_query;
-  auto call = Call(std::move(request));
-  QSE_RETURN_IF_ERROR(call.status());
-  WireResponse& wire = call.value();
-  RetrievalResponse result;
-  result.neighbors = std::move(wire.neighbors);
-  result.exact_distances = static_cast<size_t>(wire.exact_distances);
-  result.embedding_distances = static_cast<size_t>(wire.embedding_distances);
-  result.shard_stats = std::move(wire.shard_stats);
-  return result;
+StatusOr<RetrievalResponse> RemoteRetrievalBackend::Retrieve(
+    const RetrievalRequest& request) const {
+  return pipeline_.Retrieve(request.dx, request.options, /*scan_threads=*/1,
+                            request.trace);
 }
 
 Status RemoteRetrievalBackend::Insert(size_t db_id, const DxToDatabaseFn& dx) {

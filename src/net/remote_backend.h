@@ -13,6 +13,7 @@
 #include "src/net/wire_codec.h"
 #include "src/obs/metric_registry.h"
 #include "src/retrieval/retrieval_backend.h"
+#include "src/retrieval/retrieval_pipeline.h"
 #include "src/util/status.h"
 #include "src/util/statusor.h"
 
@@ -21,7 +22,7 @@ namespace net {
 
 struct RemoteBackendOptions {
   TransportOptions transport;
-  /// Idempotent read RPCs (kScan / kRetrieve / kInfo) are retried once
+  /// Idempotent read RPCs (kScan / kInfo) are retried once
   /// on kUnavailable / kDataLoss over a fresh connection — a dropped
   /// connection between requests is routine, not an error.  Mutations
   /// are never retried (a duplicate Insert is not idempotent).
@@ -47,10 +48,10 @@ struct RemoteBackendOptions {
 /// survives a process boundary): the EMBEDDING step runs client-side —
 /// `dx` is an opaque closure — and only the embedded vector crosses the
 /// wire (kScan).  The server runs the filter scan; the client refines
-/// the returned candidates with its own dx.  For a single remote backend
-/// this reproduces RetrievalEngine bit for bit; under the sharded
-/// engine, the composed ScatterScan merges remote candidate lists
-/// exactly as local ones.
+/// the returned candidates with its own dx.  Retrieve is the shared
+/// RetrievalPipeline with the kScan RPC as its single source, so it
+/// reproduces RetrievalEngine bit for bit; under the sharded engine,
+/// remote candidate lists merge exactly as local ones.
 ///
 /// Deadlines cross the wire as REMAINING budget: each RPC computes
 /// options.deadline - now at send time, the server re-anchors against
@@ -67,12 +68,10 @@ class RemoteRetrievalBackend : public RetrievalBackend {
   RemoteRetrievalBackend(const Embedder* embedder, std::string host,
                          uint16_t port, RemoteBackendOptions options = {});
 
+  /// Embeds client-side, scans over kScan (grafting the server's spans
+  /// into a sampled request's trace), refines with the caller's dx.
   StatusOr<RetrievalResponse> Retrieve(
       const RetrievalRequest& request) const override;
-
-  StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
-      const std::vector<DxToDatabaseFn>& queries,
-      const RetrievalOptions& options) const override;
 
   /// Ships the embedded query; returns the remote backend's top-p.
   StatusOr<ScanCandidatesResult> ScanCandidates(
@@ -84,27 +83,19 @@ class RemoteRetrievalBackend : public RetrievalBackend {
   Status InsertEmbedded(size_t db_id, const Vector& embedded_row) override;
   Status Remove(size_t db_id) override;
 
-  /// Remote full retrieval (kRetrieve) for servers configured with a
-  /// RawQueryResolver: ships the RAW query, embedding and refine both
-  /// run server-side.  Not part of the scatter path — a convenience for
-  /// thin clients that cannot evaluate dx themselves.
-  StatusOr<RetrievalResponse> RetrieveRaw(
-      const std::vector<double>& raw_query,
-      const RetrievalOptions& options) const;
-
   /// Remote size via kInfo; 0 when the peer is unreachable (size() has
   /// no error channel — used for load hints, not correctness).
   size_t size() const override;
-
-  /// Remote responses already carry database ids.
-  size_t db_id_of(size_t neighbor_index) const override {
-    return neighbor_index;
-  }
 
   const std::string& host() const { return host_; }
   uint16_t port() const { return port_; }
 
  private:
+  /// The kScan RPC; a non-null `trace` asks the server for its spans and
+  /// grafts them under this call's start.
+  StatusOr<ScanCandidatesResult> Scan(const Vector& embedded_query,
+                                      const RetrievalOptions& options,
+                                      obs::RequestTrace* trace) const;
   /// One RPC: checkout/dial, send, receive, decode, return-to-pool.
   /// Applies the deadline budget from options and the read-retry policy.
   StatusOr<WireResponse> Call(WireRequest request) const;
@@ -128,6 +119,7 @@ class RemoteRetrievalBackend : public RetrievalBackend {
   obs::Counter* rpc_retries_total_;
   obs::Counter* reconnects_total_;
   obs::Histogram* rpc_latency_ns_;
+  RetrievalPipeline pipeline_;
 };
 
 }  // namespace net

@@ -10,13 +10,6 @@ namespace qse {
 namespace net {
 namespace {
 
-uint64_t NsSince(MonotonicClock::time_point start) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          MonotonicClock::now() - start)
-          .count());
-}
-
 /// Copies a backend status into a response envelope.
 void SetStatus(WireResponse* response, const Status& status) {
   response->code = status.code();
@@ -174,34 +167,6 @@ WireResponse RetrievalServer::Handle(const WireRequest& request) {
                            nullptr}});
       } else {
         status = scan.status();
-      }
-      break;
-    }
-    case WireOp::kRetrieve: {
-      if (!options_.raw_query_resolver) {
-        status = Status::FailedPrecondition(
-            "server has no raw-query resolver; use kScan");
-        break;
-      }
-      RetrievalRequest rpc;
-      rpc.dx = options_.raw_query_resolver(request.query);
-      rpc.options = options;
-      rpc.trace = trace;
-      auto retrieved = backend_->Retrieve(rpc);
-      if (retrieved.ok()) {
-        RetrievalResponse result = std::move(retrieved).value();
-        response.neighbors.reserve(result.neighbors.size());
-        for (const ScoredIndex& nb : result.neighbors) {
-          // Backend-local neighbor indices mean nothing in another
-          // process; ship database ids.
-          response.neighbors.push_back(
-              {backend_->db_id_of(nb.index), nb.score});
-        }
-        response.exact_distances = result.exact_distances;
-        response.embedding_distances = result.embedding_distances;
-        response.shard_stats = std::move(result.shard_stats);
-      } else {
-        status = retrieved.status();
       }
       break;
     }

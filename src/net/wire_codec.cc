@@ -67,8 +67,9 @@ Status DecodeRequest(const std::string& payload, WireRequest* out) {
   ByteReader r(payload);
   uint16_t tag = 0;
   QSE_RETURN_IF_ERROR(ReadPreamble(&r, &tag));
-  if (tag < static_cast<uint16_t>(WireOp::kScan) ||
-      tag > static_cast<uint16_t>(WireOp::kInfo)) {
+  if (tag != static_cast<uint16_t>(WireOp::kScan) &&
+      (tag < static_cast<uint16_t>(WireOp::kInsert) ||
+       tag > static_cast<uint16_t>(WireOp::kInfo))) {
     return Status::InvalidArgument("unknown wire op " + std::to_string(tag));
   }
   out->op = static_cast<WireOp>(tag);

@@ -60,10 +60,8 @@ enum class WireOp : uint16_t {
   /// cannot cross the wire — so a scatter over kScan shards is
   /// bit-identical to the in-process sharded engine.
   kScan = 1,
-  /// Full server-side retrieval: `query` is a RAW query vector the
-  /// server resolves to a dx via its configured RawQueryResolver.
-  /// FailedPrecondition when the server has none.
-  kRetrieve = 2,
+  // Tag 2 is retired (a server-side full retrieval op) and decodes as
+  // an unknown op.
   /// Insert `query` (an EMBEDDED row) under `db_id`.
   kInsert = 3,
   /// Remove `db_id`.
@@ -94,7 +92,7 @@ struct WireRequest {
   RetrievalOptions options;
   /// kInsert / kRemove target.
   uint64_t db_id = 0;
-  /// kScan: embedded query; kRetrieve: raw query; kInsert: embedded row.
+  /// kScan: embedded query; kInsert: embedded row.
   std::vector<double> query;
 };
 
@@ -110,17 +108,18 @@ struct WireSpan {
 };
 
 /// One response envelope: a Status plus whichever result fields the op
-/// fills.  `neighbors.index` values are always DATABASE IDS — the server
-/// translates via its backend's db_id_of before encoding, because
-/// shard-local row numbers are meaningless in another process.
+/// fills.  `neighbors.index` values are always DATABASE IDS, as every
+/// backend reports them — row numbers are meaningless in another
+/// process.
 struct WireResponse {
   StatusCode code = StatusCode::kOk;
   std::string message;
-  /// kRetrieve: refined top-k.  kScan: the filter top-p candidates.
+  /// kScan: the filter top-p candidates.
   std::vector<ScoredIndex> neighbors;
+  /// Refined-retrieval fields of the version-1 layout; no current op
+  /// fills them, and they still round-trip.
   uint64_t exact_distances = 0;
   uint64_t embedding_distances = 0;
-  /// kRetrieve with want_stats.
   std::vector<ShardScanStats> shard_stats;
   /// kScan accounting (ScanCandidatesResult::rows / rows_pruned).
   uint64_t rows = 0;

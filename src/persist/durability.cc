@@ -186,10 +186,7 @@ Status DurabilityManager::WriteSnapshot(
   QSE_RETURN_IF_ERROR(wal_->ResetToBase(cut_seq));
   records_since_snapshot_ = 0;
   snapshots_total_->Increment();
-  snapshot_duration_ns_->Record(static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          MonotonicClock::now() - start)
-          .count()));
+  snapshot_duration_ns_->Record(static_cast<double>(NsSince(start)));
   return Status::OK();
 }
 

@@ -65,9 +65,6 @@ class DurableBackend : public RetrievalBackend {
   Status Remove(size_t db_id) override;
 
   size_t size() const override { return inner_->size(); }
-  size_t db_id_of(size_t neighbor_index) const override {
-    return inner_->db_id_of(neighbor_index);
-  }
 
   /// Takes a compacted snapshot now, at cut point last_seq().  Serialized
   /// against mutations; safe concurrently with retrievals.

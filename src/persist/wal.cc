@@ -236,10 +236,7 @@ Status WalWriter::Sync() {
   const MonotonicClock::time_point start = MonotonicClock::now();
   if (::fsync(fd_) != 0) return ErrnoStatus("fsync WAL", path_);
   fsyncs->Increment();
-  fsync_ns->Record(static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          MonotonicClock::now() - start)
-          .count()));
+  fsync_ns->Record(static_cast<double>(NsSince(start)));
   unsynced_records_ = 0;
   return Status::OK();
 }

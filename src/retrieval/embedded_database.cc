@@ -356,11 +356,17 @@ size_t EmbeddedDatabase::Append(const double* row, size_t id) {
     rows_.store(n + 1, std::memory_order_release);
     return n;
   }
-  // Copy-on-write growth (amortized doubling).  `row` may point into
-  // the current version's own buffer (duplicating a row); that buffer
-  // stays intact until retirement, so the copy below is safe.
-  size_t capacity = std::max(
-      {v->capacity_rows * 2, n + 1, kMinCapacityRows});
+  // Copy-on-write: growth doubles (amortized), but a copy made only to
+  // avoid rewriting a published slot (n < high_water after a tail
+  // SwapRemove) or to requantize keeps the current capacity — doubling
+  // there too would grow capacity on every Insert/Remove cycle.  `row`
+  // may point into the current version's own buffer (duplicating a
+  // row); that buffer stays intact until retirement, so the copy below
+  // is safe.
+  const size_t capacity =
+      n + 1 > v->capacity_rows
+          ? std::max({v->capacity_rows * 2, n + 1, kMinCapacityRows})
+          : v->capacity_rows;
   Version* next = NewVersion(capacity);
   next->data.resize((n + 1) * dims_);
   std::copy(v->data.data(), v->data.data() + n * dims_, next->data.data());

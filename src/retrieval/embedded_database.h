@@ -210,6 +210,9 @@ class EmbeddedDatabase {
   /// current version is smaller).  No-op on a dimensionless database
   /// (dims() == 0) and when the capacity already suffices.
   void Reserve(size_t rows);
+  /// Rows the current version holds without reallocating (quiescent
+  /// peek).
+  size_t capacity() const { return current()->capacity_rows; }
 
   /// Grows/shrinks to `rows` rows; new rows are zero-filled with ids
   /// equal to their row index.  Used with mutable_row() to fill the

@@ -2,11 +2,12 @@
 #define QSE_RETRIEVAL_FILTER_REFINE_H_
 
 // Umbrella header for the filter-and-refine retrieval stack.  The
-// subsystem lives in three pieces:
+// subsystem lives in four pieces:
 //
 //   embedded_database.h  - flat SoA storage of the embedded vectors
 //   filter_scorer.h      - the filter step's scan kernels
-//   retrieval_engine.h   - the batched filter-and-refine pipeline
+//   retrieval_pipeline.h - embed, scan N sources, merge, refine
+//   retrieval_engine.h   - the pipeline over one embedded database
 //
 // plus EmbedDatabase() below, the offline preprocessing step that fills
 // the database.

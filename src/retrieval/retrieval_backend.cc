@@ -1,5 +1,9 @@
 #include "src/retrieval/retrieval_backend.h"
 
+#include <mutex>
+
+#include "src/util/parallel.h"
+
 namespace qse {
 
 const char* RequestPriorityName(RequestPriority priority) {
@@ -33,6 +37,43 @@ Status ValidateRetrievalOptions(const RetrievalOptions& options) {
         std::to_string(static_cast<size_t>(options.filter_precision)));
   }
   return Status::OK();
+}
+
+StatusOr<std::vector<RetrievalResponse>> RetrievalBackend::RetrieveBatch(
+    const std::vector<DxToDatabaseFn>& queries,
+    const RetrievalOptions& options) const {
+  return RetrieveEach(queries, options, [&](const DxToDatabaseFn& dx) {
+    return Retrieve({dx, options, /*trace=*/nullptr});
+  });
+}
+
+StatusOr<std::vector<RetrievalResponse>> RetrievalBackend::RetrieveEach(
+    const std::vector<DxToDatabaseFn>& queries,
+    const RetrievalOptions& options,
+    const std::function<StatusOr<RetrievalResponse>(const DxToDatabaseFn&)>&
+        retrieve_one) {
+  // Validate once up front so a bad parameter fails the whole batch
+  // instead of every entry failing identically in parallel.
+  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
+  std::vector<RetrievalResponse> results(queries.size());
+  std::mutex error_mu;
+  Status first_error = Status::OK();
+  // Grain 2: one item is a whole filter-and-refine retrieval, expensive
+  // enough to parallelize even a handful of queries.
+  ParallelForGrain(
+      0, queries.size(), 2,
+      [&](size_t i) {
+        StatusOr<RetrievalResponse> r = retrieve_one(queries[i]);
+        if (!r.ok()) {
+          std::lock_guard<std::mutex> lock(error_mu);
+          if (first_error.ok()) first_error = r.status();
+          return;
+        }
+        results[i] = std::move(r).value();
+      },
+      options.num_threads);
+  QSE_RETURN_IF_ERROR(first_error);
+  return results;
 }
 
 }  // namespace qse

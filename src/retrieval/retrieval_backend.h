@@ -3,12 +3,14 @@
 
 #include <chrono>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/embedding/embedder.h"
 #include "src/obs/trace.h"
+#include "src/retrieval/embedded_database.h"
 #include "src/retrieval/filter_precision.h"
 #include "src/util/status.h"
 #include "src/util/statusor.h"
@@ -85,6 +87,9 @@ struct RetrievalOptions {
   /// the same pinned snapshot the response was served from.  The async
   /// server attaches its configured monitor here; direct engine callers
   /// may set it themselves.  Borrowed: must outlive the request.
+  /// On a ScanCandidates call it means "this request is being audited":
+  /// the retrieval pipeline passes it only for sampled requests, and a
+  /// local backend then hands its pinned snapshot back in the result.
   obs::QualityMonitor* audit_monitor = nullptr;
 
   RetrievalOptions() = default;
@@ -146,10 +151,9 @@ struct ShardScanStats {
 
 /// Result of one filter-and-refine retrieval.
 struct RetrievalResponse {
-  /// Top-k neighbors by exact distance among the refined candidates.
-  /// `index` is backend-specific — db rows for RetrievalEngine, database
-  /// ids for ShardedRetrievalEngine — and always resolves to a database
-  /// id through the owning backend's db_id_of().
+  /// Top-k neighbors by exact distance among the refined candidates,
+  /// ascending by (distance, id).  `index` is the DATABASE ID on every
+  /// backend.
   std::vector<ScoredIndex> neighbors;
   /// Exact DX evaluations spent: embedding step + refine step.  This is
   /// the paper's per-query cost measure.
@@ -179,6 +183,12 @@ struct ScanCandidatesResult {
   size_t rows = 0;
   /// Rows whose scan the early-abandon filter cut short.
   size_t rows_pruned = 0;
+  /// The epoch-pinned snapshot the scan read, handed back only when the
+  /// request is being audited (options.audit_monitor set), so the audit
+  /// scores exactly the rows the response was served from.  Null
+  /// otherwise, and always null from a backend whose rows live in
+  /// another process.
+  std::shared_ptr<EmbeddedDatabase::Snapshot> pinned;
 };
 
 /// The serving-facing face of a retrieval engine: the filter-and-refine
@@ -190,7 +200,7 @@ struct ScanCandidatesResult {
 /// Contract, identical across implementations:
 ///  * Retrieve validates options via ValidateRetrievalOptions and
 ///    returns FailedPrecondition on an empty database; p is clamped to
-///    size().
+///    size().  Neighbor indices are database ids.
 ///  * RetrieveBatch(queries, options)[i] is bit-identical to
 ///    Retrieve({queries[i], options}), whatever options.num_threads is.
 ///  * Insert fails with InvalidArgument on a duplicate id, Remove with
@@ -212,10 +222,10 @@ class RetrievalBackend {
 
   /// Retrieves a batch of queries sharing one options envelope, in
   /// parallel across options.num_threads workers; results[i] corresponds
-  /// to queries[i].
+  /// to queries[i].  Default: Retrieve per query through RetrieveEach.
   virtual StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
       const std::vector<DxToDatabaseFn>& queries,
-      const RetrievalOptions& options) const = 0;
+      const RetrievalOptions& options) const;
 
   /// Embeds a new object via `dx` and adds it under `db_id`.
   virtual Status Insert(size_t db_id, const DxToDatabaseFn& dx) = 0;
@@ -255,8 +265,23 @@ class RetrievalBackend {
   /// Number of database objects currently live.
   virtual size_t size() const = 0;
 
-  /// Database id behind a RetrievalResponse neighbor index.
-  virtual size_t db_id_of(size_t neighbor_index) const = 0;
+  /// Database id behind a RetrievalResponse neighbor index.  Neighbor
+  /// indices are database ids, so the default is the identity.
+  virtual size_t db_id_of(size_t neighbor_index) const {
+    return neighbor_index;
+  }
+
+ protected:
+  /// The one RetrieveBatch loop: validates `options` once, runs
+  /// `retrieve_one` for every query in parallel across
+  /// options.num_threads workers, and fails the batch with the first
+  /// error (a concurrent mutation stream can still empty the database
+  /// mid-batch).
+  static StatusOr<std::vector<RetrievalResponse>> RetrieveEach(
+      const std::vector<DxToDatabaseFn>& queries,
+      const RetrievalOptions& options,
+      const std::function<StatusOr<RetrievalResponse>(const DxToDatabaseFn&)>&
+          retrieve_one);
 };
 
 }  // namespace qse

@@ -2,26 +2,10 @@
 
 #include <algorithm>
 
-#include "src/distance/simd/dispatch.h"
-#include "src/obs/quality_monitor.h"
-#include "src/obs/trace.h"
 #include "src/util/logging.h"
-#include "src/util/parallel.h"
 #include "src/util/timer.h"
 
 namespace qse {
-namespace {
-
-/// Nanoseconds elapsed since `start` (histogram-record helper).
-double NsSince(MonotonicClock::time_point start) {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          MonotonicClock::now() - start)
-          .count());
-}
-
-}  // namespace
-
 RetrievalEngine::RetrievalEngine(const Embedder* embedder,
                                  const FilterScorer* scorer,
                                  EmbeddedDatabase* db,
@@ -29,20 +13,12 @@ RetrievalEngine::RetrievalEngine(const Embedder* embedder,
     : embedder_(embedder),
       scorer_(scorer),
       db_(db),
-      retrievals_total_(obs::MetricRegistry::Global().GetCounter(
-          "qse_engine_retrievals_total")),
-      exact_distances_total_(obs::MetricRegistry::Global().GetCounter(
-          "qse_engine_exact_distances_total")),
       filter_rows_visited_total_(obs::MetricRegistry::Global().GetCounter(
           "qse_engine_filter_rows_visited_total")),
       filter_rows_pruned_total_(obs::MetricRegistry::Global().GetCounter(
           "qse_engine_filter_rows_pruned_total")),
-      embed_ns_(obs::MetricRegistry::Global().GetHistogram(
-          "qse_engine_embed_latency_ns", obs::DefaultLatencyBoundariesNs())),
       filter_ns_(obs::MetricRegistry::Global().GetHistogram(
-          "qse_engine_filter_latency_ns", obs::DefaultLatencyBoundariesNs())),
-      refine_ns_(obs::MetricRegistry::Global().GetHistogram(
-          "qse_engine_refine_latency_ns", obs::DefaultLatencyBoundariesNs())) {
+          "qse_engine_filter_latency_ns", obs::DefaultLatencyBoundariesNs())) {
   QSE_CHECK(db_->size() == db_ids.size());
   db_->AssignIds(db_ids);
   row_of_.reserve(db_ids.size());
@@ -50,165 +26,28 @@ RetrievalEngine::RetrievalEngine(const Embedder* embedder,
     bool inserted = row_of_.emplace(db_ids[row], row).second;
     QSE_CHECK_MSG(inserted, "duplicate database id " << db_ids[row]);
   }
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  pipeline_.embedder = embedder_;
+  pipeline_.scan = [this](size_t, const Vector& embedded_query,
+                          const RetrievalOptions& options,
+                          obs::RequestTrace*) {
+    return ScanCandidates(embedded_query, options);
+  };
+  pipeline_.known_empty = [this] { return db_->empty(); };
+  pipeline_.metrics.retrievals_total =
+      registry.GetCounter("qse_engine_retrievals_total");
+  pipeline_.metrics.exact_distances_total =
+      registry.GetCounter("qse_engine_exact_distances_total");
+  pipeline_.metrics.embed_ns = registry.GetHistogram(
+      "qse_engine_embed_latency_ns", obs::DefaultLatencyBoundariesNs());
+  pipeline_.metrics.refine_ns = registry.GetHistogram(
+      "qse_engine_refine_latency_ns", obs::DefaultLatencyBoundariesNs());
 }
 
 StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
     const RetrievalRequest& request) const {
-  StatusOr<RetrievalResponse> result =
-      RetrieveOne(request.dx, request.options, request.trace);
-  if (result.ok()) result.value().trace = request.trace;
-  return result;
-}
-
-StatusOr<RetrievalResponse> RetrievalEngine::RetrieveOne(
-    const DxToDatabaseFn& dx, const RetrievalOptions& options,
-    const std::shared_ptr<obs::RequestTrace>& trace_ptr) const {
-  obs::RequestTrace* trace = trace_ptr.get();
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  // Fast-fail on an empty database before spending embedding distances
-  // on `dx` (cheap atomic peek; the pinned snapshot below re-checks
-  // authoritatively under concurrent mutation).
-  if (db_->empty()) {
-    return Status::FailedPrecondition("embedded database is empty");
-  }
-
-  RetrievalResponse response;
-  // Embedding step: before the snapshot pin — it only talks to `dx`,
-  // and shorter pins let mutations reclaim retired versions sooner.
-  size_t embed_cost = 0;
-  uint64_t span_start = obs::TraceNowNs(trace);
-  MonotonicClock::time_point stage_start = MonotonicClock::now();
-  Vector fq = embedder_->Embed(dx, &embed_cost);
-  embed_ns_->Record(NsSince(stage_start));
-  obs::TraceMark(trace, "embed", span_start);
-  response.embedding_distances = embed_cost;
-
-  // Pin one consistent (rows, ids, count) snapshot for the whole query:
-  // filter and refine see the same database state however many
-  // mutations land meanwhile.
-  EmbeddedDatabase::Snapshot snap = db_->snapshot();
-  const EmbeddedDatabase::View& view = snap.view();
-  if (view.empty()) {
-    return Status::FailedPrecondition("embedded database is empty");
-  }
-  const size_t k = options.k;
-  const size_t p = std::min(options.p, view.size());
-
-  // Reduced-precision scans need the matching shadow matrix in the
-  // pinned view; fail the request cleanly instead of tripping the
-  // scorer's internal contract check.
-  uint32_t needed = ShadowMaskFor(options.filter_precision);
-  if ((view.shadows() & needed) != needed) {
-    return Status::FailedPrecondition(
-        std::string("filter precision ") +
-        FilterPrecisionName(options.filter_precision) +
-        " needs a shadow matrix this database does not carry; call "
-        "EnableFilterShadows on it first");
-  }
-
-  // Filter step: one streaming early-abandon scan keeping the top p.
-  FilterScanStats scan_stats;
-  span_start = obs::TraceNowNs(trace);
-  stage_start = MonotonicClock::now();
-  std::vector<ScoredIndex> candidates =
-      scorer_->ScoreTopP(fq, view, p, options.filter_precision, &scan_stats);
-  filter_ns_->Record(NsSince(stage_start));
-  filter_rows_visited_total_->Add(scan_stats.rows_visited);
-  filter_rows_pruned_total_->Add(scan_stats.rows_pruned);
-  obs::TraceMark(
-      trace, "filter_scan", span_start,
-      {obs::TraceArg{"rows", static_cast<int64_t>(scan_stats.rows_visited),
-                     nullptr},
-       obs::TraceArg{"rows_pruned",
-                     static_cast<int64_t>(scan_stats.rows_pruned), nullptr},
-       obs::TraceArg{"simd", 0,
-                     simd::SimdLevelName(simd::ActiveSimdLevel())},
-       obs::TraceArg{"precision", 0,
-                     FilterPrecisionName(options.filter_precision)}});
-
-  // The monolithic engine is one pseudo-shard: every row scanned, every
-  // candidate contributed — the same shape the sharded engine reports,
-  // so stats consumers need no backend-specific cases.
-  if (options.want_stats) {
-    response.shard_stats = {{view.size(), candidates.size()}};
-  }
-
-  // Refine step: exact distances on the p candidates only, resolving
-  // rows to database ids through the pinned snapshot's id column.
-  span_start = obs::TraceNowNs(trace);
-  stage_start = MonotonicClock::now();
-  std::vector<ScoredIndex> refined;
-  refined.reserve(candidates.size());
-  for (const ScoredIndex& c : candidates) {
-    refined.push_back({c.index, dx(view.id_of(c.index))});
-  }
-  std::sort(refined.begin(), refined.end());
-  if (refined.size() > k) refined.resize(k);
-  refine_ns_->Record(NsSince(stage_start));
-  obs::TraceMark(trace, "refine", span_start,
-                 {obs::TraceArg{"candidates",
-                                static_cast<int64_t>(candidates.size()),
-                                nullptr}});
-  response.neighbors = std::move(refined);
-  response.exact_distances = embed_cost + candidates.size();
-  retrievals_total_->Increment();
-  exact_distances_total_->Add(response.exact_distances);
-
-  // Quality audit hook: offer 1-in-N completed responses to the
-  // monitor, handing it the SAME pinned snapshot this response was
-  // served from so the background exact re-scan scores identical rows
-  // under concurrent mutation.  Costs one atomic tick when a monitor is
-  // attached; sampled responses additionally move the pin instead of
-  // dropping it here.
-  if (options.audit_monitor != nullptr &&
-      options.audit_monitor->ShouldSample()) {
-    obs::AuditTask audit;
-    audit.dx = dx;
-    audit.k = k;
-    audit.served.reserve(response.neighbors.size());
-    for (const ScoredIndex& nb : response.neighbors) {
-      audit.served.push_back({view.id_of(nb.index), nb.score});
-    }
-    audit.snapshots.push_back(std::move(snap));
-    audit.trace = trace_ptr;
-    options.audit_monitor->SubmitAudit(std::move(audit));
-  }
-  return response;
-}
-
-StatusOr<std::vector<RetrievalResponse>> RetrievalEngine::RetrieveBatch(
-    const std::vector<DxToDatabaseFn>& queries,
-    const RetrievalOptions& options) const {
-  // Validate once up front so a bad parameter fails the whole batch
-  // instead of every entry failing identically in parallel.
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  if (db_->empty()) {
-    return Status::FailedPrecondition("embedded database is empty");
-  }
-
-  std::vector<RetrievalResponse> results(queries.size());
-  // Parameters were validated above, but a concurrent mutation stream
-  // can still empty the database mid-batch; collect the first such
-  // failure and fail the batch honestly instead of crashing.
-  std::mutex error_mu;
-  Status first_error = Status::OK();
-  // Grain 2: one item is a whole filter-and-refine retrieval, expensive
-  // enough to parallelize even a handful of queries.
-  ParallelForGrain(
-      0, queries.size(), 2,
-      [&](size_t i) {
-        StatusOr<RetrievalResponse> r =
-            RetrieveOne(queries[i], options, /*trace=*/{});
-        if (!r.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = r.status();
-          return;
-        }
-        results[i] = std::move(r).value();
-      },
-      options.num_threads);
-  QSE_RETURN_IF_ERROR(first_error);
-  return results;
+  return pipeline_.Retrieve(request.dx, request.options, /*scan_threads=*/1,
+                            request.trace);
 }
 
 StatusOr<ScanCandidatesResult> RetrievalEngine::ScanCandidates(
@@ -219,40 +58,50 @@ StatusOr<ScanCandidatesResult> RetrievalEngine::ScanCandidates(
         "embedded query has " + std::to_string(embedded_query.size()) +
         " dims, database holds " + std::to_string(db_->dims()));
   }
+  // Pin one consistent (rows, ids, count) snapshot for the whole scan:
+  // however many mutations land meanwhile, candidates and their ids come
+  // from the same database state.
   EmbeddedDatabase::Snapshot snap = db_->snapshot();
   const EmbeddedDatabase::View& view = snap.view();
-  // Unlike Retrieve, an empty backend is NOT an error here: a scan
-  // contributes nothing, and the gathering caller — who can see every
-  // shard — decides whether overall emptiness is FailedPrecondition.
-  if (view.empty()) return ScanCandidatesResult{};
+  // Reduced-precision scans need the matching shadow matrix in the
+  // pinned view; fail the request cleanly instead of tripping the
+  // scorer's internal contract check.  An empty view scans nothing.
   uint32_t needed = ShadowMaskFor(options.filter_precision);
-  if ((view.shadows() & needed) != needed) {
+  if (!view.empty() && (view.shadows() & needed) != needed) {
     return Status::FailedPrecondition(
         std::string("filter precision ") +
         FilterPrecisionName(options.filter_precision) +
         " needs a shadow matrix this database does not carry; call "
-        "EnableFilterShadows on it first");
+        "EnableFilterShadows on it first (a sharded engine's shards: "
+        "ShardedEngineOptions::filter_shadows)");
   }
-  const size_t p = std::min(options.p, view.size());
-
-  FilterScanStats scan_stats;
-  MonotonicClock::time_point stage_start = MonotonicClock::now();
-  std::vector<ScoredIndex> local = scorer_->ScoreTopP(
-      embedded_query, view, p, options.filter_precision, &scan_stats);
-  filter_ns_->Record(NsSince(stage_start));
-  filter_rows_visited_total_->Add(scan_stats.rows_visited);
-  filter_rows_pruned_total_->Add(scan_stats.rows_pruned);
-
-  // Rows -> database ids through the same snapshot, then re-sort into
-  // the (score, id) total order the k-way merge requires — exactly the
-  // per-shard translation ShardedRetrievalEngine::ScatterGather does.
-  for (ScoredIndex& c : local) c.index = view.id_of(c.index);
-  std::sort(local.begin(), local.end());
-
   ScanCandidatesResult result;
-  result.candidates = std::move(local);
   result.rows = view.size();
-  result.rows_pruned = scan_stats.rows_pruned;
+  // Unlike Retrieve, an empty backend is NOT an error here: a scan
+  // contributes nothing, and the gathering caller — who can see every
+  // shard — decides whether overall emptiness is FailedPrecondition.
+  if (!view.empty()) {
+    FilterScanStats scan_stats;
+    MonotonicClock::time_point stage_start = MonotonicClock::now();
+    const size_t p = std::min(options.p, view.size());
+    result.candidates = scorer_->ScoreTopP(
+        embedded_query, view, p, options.filter_precision, &scan_stats);
+    filter_ns_->Record(static_cast<double>(NsSince(stage_start)));
+    filter_rows_visited_total_->Add(scan_stats.rows_visited);
+    filter_rows_pruned_total_->Add(scan_stats.rows_pruned);
+    result.rows_pruned = scan_stats.rows_pruned;
+    // Rows -> database ids through the same snapshot, then re-sort: the
+    // scan's (score, row) tie order need not survive the translation,
+    // and the k-way merge requires (score, id) order.
+    for (ScoredIndex& c : result.candidates) c.index = view.id_of(c.index);
+    std::sort(result.candidates.begin(), result.candidates.end());
+  }
+  // A sampled request's audit re-scans this very snapshot.  Moving a
+  // Snapshot moves its pin, not the View the scan read.
+  if (options.audit_monitor != nullptr) {
+    result.pinned =
+        std::make_shared<EmbeddedDatabase::Snapshot>(std::move(snap));
+  }
   return result;
 }
 
@@ -274,21 +123,17 @@ Status RetrievalEngine::InsertEmbedded(size_t db_id,
 }
 
 Status RetrievalEngine::Insert(size_t db_id, const DxToDatabaseFn& dx) {
-  std::lock_guard<std::mutex> lock(mutation_mu_);
-  if (row_of_.count(db_id) != 0) {
-    return Status::InvalidArgument("database id already present: " +
-                                   std::to_string(db_id));
+  {
+    // Fail a duplicate before spending up to 2d exact distances on it;
+    // InsertEmbedded re-checks under the lock it appends under, so the
+    // embedding itself runs outside the mutation lock.
+    std::lock_guard<std::mutex> lock(mutation_mu_);
+    if (row_of_.count(db_id) != 0) {
+      return Status::InvalidArgument("database id already present: " +
+                                     std::to_string(db_id));
+    }
   }
-  Vector embedded = embedder_->Embed(dx, nullptr);
-  if (embedded.size() != db_->dims()) {
-    return Status::Internal("embedder produced " +
-                            std::to_string(embedded.size()) +
-                            " dims, database holds " +
-                            std::to_string(db_->dims()));
-  }
-  size_t row = db_->Append(embedded, db_id);
-  row_of_.emplace(db_id, row);
-  return Status::OK();
+  return InsertEmbedded(db_id, embedder_->Embed(dx, nullptr));
 }
 
 void RetrievalEngine::RebuildIdIndex() {

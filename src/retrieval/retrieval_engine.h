@@ -10,6 +10,7 @@
 #include "src/retrieval/embedded_database.h"
 #include "src/retrieval/filter_scorer.h"
 #include "src/retrieval/retrieval_backend.h"
+#include "src/retrieval/retrieval_pipeline.h"
 #include "src/util/statusor.h"
 #include "src/util/top_k.h"
 
@@ -40,9 +41,10 @@ class RetrievalEngine : public RetrievalBackend {
   RetrievalEngine(const Embedder* embedder, const FilterScorer* scorer,
                   EmbeddedDatabase* db, std::vector<size_t> db_ids);
 
-  /// Retrieves the k best matches among the top-p filter candidates;
-  /// neighbor indices are db positions (rows of the snapshot served,
-  /// which is the current layout once the engine is quiescent).
+  /// Retrieves the k best matches among the top-p filter candidates:
+  /// the shared RetrievalPipeline with this engine's own ScanCandidates
+  /// as its single source, so neighbor indices are database ids and
+  /// exact-distance ties order by id.
   ///
   /// Options are validated by ValidateRetrievalOptions; an empty
   /// database is FailedPrecondition.  p is clamped to the database size
@@ -50,14 +52,6 @@ class RetrievalEngine : public RetrievalBackend {
   /// reports the whole database as a single pseudo-shard.
   StatusOr<RetrievalResponse> Retrieve(
       const RetrievalRequest& request) const override;
-
-  /// Retrieves a batch of queries in parallel via qse::ParallelFor.
-  /// results[i] corresponds to queries[i] and is bit-identical to
-  /// Retrieve({queries[i], options}) — each query runs the exact same
-  /// single-query code path, whatever options.num_threads is.
-  StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
-      const std::vector<DxToDatabaseFn>& queries,
-      const RetrievalOptions& options) const override;
 
   /// Embeds a new object (<= 2d exact distances via `dx`) and appends it
   /// to the database under `db_id`.  Fails with InvalidArgument when the
@@ -73,7 +67,8 @@ class RetrievalEngine : public RetrievalBackend {
   /// Filter-only scan over one pinned snapshot; candidates carry
   /// database ids in (score, id) order — the same list a shard of the
   /// sharded engine contributes to its merge, so a RetrievalServer
-  /// wrapping this engine is a drop-in remote shard.
+  /// wrapping this engine is a drop-in remote shard.  With
+  /// options.audit_monitor set the snapshot is handed back in `pinned`.
   StatusOr<ScanCandidatesResult> ScanCandidates(
       const Vector& embedded_query,
       const RetrievalOptions& options) const override;
@@ -93,37 +88,22 @@ class RetrievalEngine : public RetrievalBackend {
   /// Quiescent API; duplicate ids abort.
   void RebuildIdIndex();
 
-  /// Database id of row `row` in the current version (quiescent peek;
-  /// concurrent retrievals resolve ids against their own snapshot).
-  size_t db_id_of(size_t row) const override { return db_->id_of(row); }
   /// Copy of the current row -> id mapping, in row order.
   std::vector<size_t> db_ids() const { return db_->ids(); }
   const EmbeddedDatabase& db() const { return *db_; }
 
  private:
-  /// The single-query pipeline behind both entry points, taking the
-  /// envelope pieces by reference so the batch loop never copies a
-  /// query functor or the options (tenant_id) per query.  A non-null
-  /// `trace` gets embed / filter_scan / refine spans (sampled requests
-  /// coming through Retrieve; RetrieveBatch runs untraced).  Shared
-  /// ownership so a sampled quality audit can carry the trace along.
-  StatusOr<RetrievalResponse> RetrieveOne(
-      const DxToDatabaseFn& dx, const RetrievalOptions& options,
-      const std::shared_ptr<obs::RequestTrace>& trace) const;
-
   const Embedder* embedder_;
   const FilterScorer* scorer_;
   EmbeddedDatabase* db_;
-  /// Global-registry metrics, resolved once at construction (pointers
-  /// are stable for the registry's lifetime) so the hot path never
-  /// takes the registry lock.  Shared across engine instances by name.
-  obs::Counter* retrievals_total_;
-  obs::Counter* exact_distances_total_;
+  /// Global-registry filter metrics, resolved once at construction
+  /// (pointers are stable for the registry's lifetime) so the hot path
+  /// never takes the registry lock.  Shared across engine instances by
+  /// name; the pipeline holds the qse_engine_* retrieval ones.
   obs::Counter* filter_rows_visited_total_;
   obs::Counter* filter_rows_pruned_total_;
-  obs::Histogram* embed_ns_;
   obs::Histogram* filter_ns_;
-  obs::Histogram* refine_ns_;
+  RetrievalPipeline pipeline_;
   /// Serializes Insert/Remove against each other (retrievals never take
   /// it — they pin snapshots instead).
   std::mutex mutation_mu_;

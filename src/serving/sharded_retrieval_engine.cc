@@ -1,28 +1,12 @@
 #include "src/serving/sharded_retrieval_engine.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <optional>
-#include <unordered_set>
 
-#include "src/distance/simd/dispatch.h"
-#include "src/obs/quality_monitor.h"
-#include "src/obs/trace.h"
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
-#include "src/util/timer.h"
-#include "src/util/top_k.h"
 
 namespace qse {
 namespace {
-
-/// Nanoseconds elapsed since `start` (histogram-record helper).
-double NsSince(MonotonicClock::time_point start) {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          MonotonicClock::now() - start)
-          .count());
-}
 
 /// splitmix64 finalizer: full avalanche, so the sequential ids most
 /// callers use spread evenly instead of striping shards modulo S.
@@ -46,62 +30,42 @@ size_t HashShardOf(size_t db_id, size_t num_shards) {
 ShardedRetrievalEngine::ShardedRetrievalEngine(const Embedder* embedder,
                                                const FilterScorer* scorer,
                                                ShardedEngineOptions options)
-    : embedder_(embedder), scorer_(scorer), options_(options) {
-  options_.num_shards = ResolveNumShards(options_.num_shards);
-  shards_.reserve(options_.num_shards);
-  for (size_t s = 0; s < options_.num_shards; ++s) {
-    Shard shard;
-    shard.db = std::make_unique<EmbeddedDatabase>(embedder_->dims());
-    if (options_.filter_shadows != 0) {
-      shard.db->EnableFilterShadows(options_.filter_shadows);
-    }
-    shard.engine = std::make_unique<RetrievalEngine>(
-        embedder_, scorer_, shard.db.get(), std::vector<size_t>{});
-    shards_.push_back(std::move(shard));
-  }
-}
+    : ShardedRetrievalEngine(embedder, scorer, EmbeddedDatabase(0), {},
+                             options) {}
 
 ShardedRetrievalEngine::ShardedRetrievalEngine(
     const Embedder* embedder, const FilterScorer* scorer,
     const EmbeddedDatabase& db, const std::vector<size_t>& db_ids,
     ShardedEngineOptions options)
-    : embedder_(embedder), scorer_(scorer), options_(options) {
+    : embedder_(embedder), options_(options) {
   QSE_CHECK_MSG(db.size() == db_ids.size(),
                 "db has " << db.size() << " rows but " << db_ids.size()
                           << " ids");
   options_.num_shards = ResolveNumShards(options_.num_shards);
   const size_t num_shards = options_.num_shards;
   const size_t dims = db.empty() ? embedder_->dims() : db.dims();
-  shards_.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    Shard shard;
-    shard.db = std::make_unique<EmbeddedDatabase>(dims);
-    shard.db->Reserve(db.size() / num_shards + 1);
-    shards_.push_back(std::move(shard));
-  }
   std::vector<std::vector<size_t>> ids_per_shard(num_shards);
-  shard_of_.reserve(db.size());
+  for (size_t s = 0; s < num_shards; ++s) {
+    dbs_.push_back(std::make_unique<EmbeddedDatabase>(dims));
+    dbs_[s]->Reserve(db.size() / num_shards + 1);
+  }
   for (size_t row = 0; row < db.size(); ++row) {
-    size_t id = db_ids[row];
-    // kLeastLoaded reads the running shard sizes, so assigning while
-    // filling keeps the stream balanced exactly like online Inserts would.
-    size_t s = AssignShard(id);
-    bool inserted = shard_of_.emplace(id, s).second;
-    QSE_CHECK_MSG(inserted, "duplicate database id " << id);
-    shards_[s].db->Append(db.row(row));  // Borrowed view: no temporary.
-    ids_per_shard[s].push_back(id);
+    const size_t s = HashShardOf(db_ids[row], num_shards);
+    dbs_[s]->Append(db.row(row));  // Borrowed view: no temporary.
+    ids_per_shard[s].push_back(db_ids[row]);
   }
   for (size_t s = 0; s < num_shards; ++s) {
     // Shadows build after the bulk fill: one pass per shard instead of
     // per-Append maintenance during partitioning.
     if (options_.filter_shadows != 0) {
-      shards_[s].db->EnableFilterShadows(options_.filter_shadows);
+      dbs_[s]->EnableFilterShadows(options_.filter_shadows);
     }
-    shards_[s].engine = std::make_unique<RetrievalEngine>(
-        embedder_, scorer_, shards_[s].db.get(),
-        std::move(ids_per_shard[s]));
+    // The engine rejects duplicate ids; equal ids share a shard.
+    shards_.push_back(std::make_shared<RetrievalEngine>(
+        embedder_, scorer, dbs_[s].get(), std::move(ids_per_shard[s])));
   }
   total_size_.store(db.size(), std::memory_order_relaxed);
+  InitPipeline();
 }
 
 ShardedRetrievalEngine::ShardedRetrievalEngine(
@@ -109,356 +73,69 @@ ShardedRetrievalEngine::ShardedRetrievalEngine(
     std::vector<std::shared_ptr<RetrievalBackend>> shard_backends,
     ShardedEngineOptions options)
     : embedder_(embedder),
-      scorer_(nullptr),
       options_(options),
-      composed_(true) {
-  QSE_CHECK_MSG(!shard_backends.empty(),
+      shards_(std::move(shard_backends)) {
+  QSE_CHECK_MSG(!shards_.empty(),
                 "composed sharded engine needs at least one shard backend");
-  options_.num_shards = shard_backends.size();
-  shards_.reserve(shard_backends.size());
+  options_.num_shards = shards_.size();
   size_t total = 0;
-  for (std::shared_ptr<RetrievalBackend>& backend : shard_backends) {
+  for (const std::shared_ptr<RetrievalBackend>& backend : shards_) {
     QSE_CHECK_MSG(backend != nullptr, "null shard backend");
     total += backend->size();
-    Shard shard;
-    shard.backend = std::move(backend);
-    shards_.push_back(std::move(shard));
   }
   total_size_.store(total, std::memory_order_relaxed);
+  InitPipeline();
 }
 
-size_t ShardedRetrievalEngine::ShardSize(size_t s) const {
-  return shards_[s].backend != nullptr ? shards_[s].backend->size()
-                                       : shards_[s].db->size();
-}
-
-size_t ShardedRetrievalEngine::AssignShard(size_t db_id) const {
-  switch (options_.assignment) {
-    case ShardAssignment::kHashId:
-      return HashShardOf(db_id, shards_.size());
-    case ShardAssignment::kLeastLoaded: {
-      size_t best = 0;
-      for (size_t s = 1; s < shards_.size(); ++s) {
-        if (ShardSize(s) < ShardSize(best)) best = s;
-      }
-      return best;
-    }
-  }
-  QSE_CHECK_MSG(false, "unknown shard assignment policy");
-  return 0;
-}
-
-StatusOr<RetrievalResponse> ShardedRetrievalEngine::ScatterGather(
-    const DxToDatabaseFn& dx, const RetrievalOptions& options,
-    size_t scatter_threads,
-    const std::shared_ptr<obs::RequestTrace>& trace_ptr) const {
-  obs::RequestTrace* trace = trace_ptr.get();
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  if (size() == 0) {
-    return Status::FailedPrecondition("embedded database is empty");
-  }
-  const size_t k = options.k;
-  const size_t p = std::min(options.p, size());
-
-  // Quality audit: decide before the scatter so each shard scan can
-  // retain (move out) the snapshot it pinned — the audit must score the
-  // exact views this response was served from, not the live shards.
-  // Composed shards hold their snapshots in other processes, so audits
-  // are disabled for them.
-  const bool audit_this = !composed_ && options.audit_monitor != nullptr &&
-                          options.audit_monitor->ShouldSample();
-  std::vector<std::optional<EmbeddedDatabase::Snapshot>> audit_snaps(
-      audit_this ? shards_.size() : 0);
-
-  RetrievalResponse response;
-  // Embedding step: once per query, shared by every shard's scan.
-  size_t embed_cost = 0;
-  uint64_t span_start = obs::TraceNowNs(trace);
-  MonotonicClock::time_point stage_start = MonotonicClock::now();
-  Vector fq = embedder_->Embed(dx, &embed_cost);
-  embed_ns_->Record(NsSince(stage_start));
-  obs::TraceMark(trace, "embed", span_start);
-  response.embedding_distances = embed_cost;
-
-  // Scatter: each shard's filter step keeps its local top p (the global
-  // top p could in the worst case live entirely in one shard).
-  const size_t num_shards = shards_.size();
-  std::vector<std::vector<ScoredIndex>> per_shard(num_shards);
-  std::vector<size_t> rows_scanned(num_shards, 0);
-  size_t rows_pruned_all = 0;
-  MonotonicClock::time_point scatter_start = MonotonicClock::now();
-  Status scatter_status =
-      ScatterScan(fq, options, p, scatter_threads, trace, &per_shard,
-                  &rows_scanned, &rows_pruned_all,
-                  audit_this ? &audit_snaps : nullptr);
-  scatter_ns_->Record(NsSince(scatter_start));
-  QSE_RETURN_IF_ERROR(scatter_status);
-
-  // The size() pre-check above is a momentary peek: concurrent removals
-  // can empty every shard before the snapshots pin.  The pinned views
-  // are authoritative — match the monolithic engine's contract.
-  size_t total_rows = 0;
-  for (size_t rows : rows_scanned) total_rows += rows;
-  if (total_rows == 0) {
-    return Status::FailedPrecondition("embedded database is empty");
-  }
-
-  // Gather: k-way heap merge down to the global top p.
-  span_start = obs::TraceNowNs(trace);
-  stage_start = MonotonicClock::now();
-  std::vector<ScoredIndex> candidates = MergeSortedTopK(per_shard, p);
-  merge_ns_->Record(NsSince(stage_start));
-  obs::TraceMark(trace, "merge", span_start,
-                 {obs::TraceArg{"candidates",
-                                static_cast<int64_t>(candidates.size()),
-                                nullptr}});
-
-  if (options.want_stats) {
-    // Attribute merged candidates to shards from the per-shard lists
-    // themselves (ids are disjoint across shards), not from the routing
-    // table — the table is mutator state this read path must not touch.
-    std::unordered_set<size_t> merged;
-    merged.reserve(candidates.size());
-    for (const ScoredIndex& c : candidates) merged.insert(c.index);
-    response.shard_stats.assign(num_shards, ShardScanStats{});
-    for (size_t s = 0; s < num_shards; ++s) {
-      response.shard_stats[s].rows = rows_scanned[s];
-      for (const ScoredIndex& c : per_shard[s]) {
-        if (merged.count(c.index) != 0) {
-          ++response.shard_stats[s].candidates;
-        }
-      }
-    }
-  }
-
-  // Single global refine: exact distances on the merged p only, exactly
-  // like the unsharded engine's refine step.
-  span_start = obs::TraceNowNs(trace);
-  stage_start = MonotonicClock::now();
-  std::vector<ScoredIndex> refined;
-  refined.reserve(candidates.size());
-  for (const ScoredIndex& c : candidates) {
-    refined.push_back({c.index, dx(c.index)});
-  }
-  std::sort(refined.begin(), refined.end());
-  if (refined.size() > k) refined.resize(k);
-  refine_ns_->Record(NsSince(stage_start));
-  obs::TraceMark(trace, "refine", span_start,
-                 {obs::TraceArg{"candidates",
-                                static_cast<int64_t>(candidates.size()),
-                                nullptr}});
-  response.neighbors = std::move(refined);
-  response.exact_distances = embed_cost + candidates.size();
-  retrievals_total_->Increment();
-  exact_distances_total_->Add(response.exact_distances);
-  filter_rows_visited_total_->Add(total_rows);
-  filter_rows_pruned_total_->Add(rows_pruned_all);
-
-  if (audit_this) {
-    obs::AuditTask audit;
-    audit.dx = dx;
-    audit.k = k;
-    audit.served.reserve(response.neighbors.size());
-    // Sharded neighbor indices already are database ids.
-    for (const ScoredIndex& nb : response.neighbors) {
-      audit.served.push_back({nb.index, nb.score});
-    }
-    audit.snapshots.reserve(audit_snaps.size());
-    for (auto& snap : audit_snaps) {
-      if (snap.has_value()) audit.snapshots.push_back(std::move(*snap));
-    }
-    audit.trace = trace_ptr;
-    options.audit_monitor->SubmitAudit(std::move(audit));
-  }
-  return response;
-}
-
-Status ShardedRetrievalEngine::ScatterScan(
-    const Vector& fq, const RetrievalOptions& options, size_t p,
-    size_t scatter_threads, obs::RequestTrace* trace,
-    std::vector<std::vector<ScoredIndex>>* per_shard,
-    std::vector<size_t>* rows_scanned, size_t* rows_pruned_out,
-    std::vector<std::optional<EmbeddedDatabase::Snapshot>>* audit_snaps)
-    const {
-  const size_t num_shards = shards_.size();
-  const uint32_t needed_shadows = ShadowMaskFor(options.filter_precision);
-  std::atomic<bool> missing_shadow{false};
-  std::atomic<size_t> rows_pruned_all{0};
-  // Composed shard scans can fail outright (a remote peer down mid
-  // fan-out); collect the first failure and fail the query honestly.
-  std::mutex error_mu;
-  Status first_error = Status::OK();
-  // Grain 2: one item is a whole shard scan; a single shard stays
-  // serial.
-  ParallelForGrain(
-      0, num_shards, 2,
-      [&](size_t s) {
-        uint64_t shard_span_start = obs::TraceNowNs(trace);
-        if (shards_[s].backend != nullptr) {
-          StatusOr<ScanCandidatesResult> scan =
-              shards_[s].backend->ScanCandidates(fq, options);
-          if (!scan.ok()) {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (first_error.ok()) first_error = scan.status();
-            return;
-          }
-          (*rows_scanned)[s] = scan->rows;
-          rows_pruned_all.fetch_add(scan->rows_pruned,
-                                    std::memory_order_relaxed);
-          obs::TraceMark(
-              trace, "shard_scan", shard_span_start,
-              {obs::TraceArg{"shard", static_cast<int64_t>(s), nullptr},
-               obs::TraceArg{"rows", static_cast<int64_t>(scan->rows),
-                             nullptr},
-               obs::TraceArg{"rows_pruned",
-                             static_cast<int64_t>(scan->rows_pruned),
-                             nullptr},
-               obs::TraceArg{"composed", 1, nullptr}});
-          (*per_shard)[s] = std::move(scan.value().candidates);
-          return;
-        }
-        // Local shard: scan one pinned epoch snapshot so a concurrent
-        // mutation of the shard never tears the scan.
-        EmbeddedDatabase::Snapshot snap = shards_[s].db->snapshot();
-        const EmbeddedDatabase::View& view = snap.view();
-        if ((view.shadows() & needed_shadows) != needed_shadows) {
-          missing_shadow.store(true, std::memory_order_relaxed);
-          return;
-        }
-        if (view.empty()) return;
-        (*rows_scanned)[s] = view.size();
-        FilterScanStats scan_stats;
-        std::vector<ScoredIndex> local = scorer_->ScoreTopP(
-            fq, view, p, options.filter_precision, &scan_stats);
-        rows_pruned_all.fetch_add(scan_stats.rows_pruned,
-                                  std::memory_order_relaxed);
-        // Translate shard-local rows to database ids through the same
-        // snapshot, then re-sort: the shard's (score, row) tie order
-        // need not survive the translation, and the k-way merge
-        // requires every list in (score, id) order.
-        for (ScoredIndex& c : local) c.index = view.id_of(c.index);
-        std::sort(local.begin(), local.end());
-        (*per_shard)[s] = std::move(local);
-        // `view` stays valid: moving a Snapshot moves its pin, not the
-        // View it exposes.
-        if (audit_snaps != nullptr) (*audit_snaps)[s].emplace(std::move(snap));
-        obs::TraceMark(
-            trace, "shard_scan", shard_span_start,
-            {obs::TraceArg{"shard", static_cast<int64_t>(s), nullptr},
-             obs::TraceArg{"rows",
-                           static_cast<int64_t>(scan_stats.rows_visited),
-                           nullptr},
-             obs::TraceArg{"rows_pruned",
-                           static_cast<int64_t>(scan_stats.rows_pruned),
-                           nullptr},
-             obs::TraceArg{"simd", 0,
-                           simd::SimdLevelName(simd::ActiveSimdLevel())},
-             obs::TraceArg{"precision", 0,
-                           FilterPrecisionName(options.filter_precision)}});
-      },
-      scatter_threads);
-
-  if (missing_shadow.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition(
-        std::string("filter precision ") +
-        FilterPrecisionName(options.filter_precision) +
-        " needs a shadow matrix the shards do not carry; construct the "
-        "engine with ShardedEngineOptions::filter_shadows");
-  }
-  QSE_RETURN_IF_ERROR(first_error);
-  *rows_pruned_out = rows_pruned_all.load(std::memory_order_relaxed);
-  return Status::OK();
-}
-
-StatusOr<ScanCandidatesResult> ShardedRetrievalEngine::ScanCandidates(
-    const Vector& embedded_query, const RetrievalOptions& options) const {
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  if (embedded_query.size() != embedder_->dims()) {
-    return Status::InvalidArgument(
-        "embedded query has " + std::to_string(embedded_query.size()) +
-        " dims, engine embeds to " + std::to_string(embedder_->dims()));
-  }
-  // Composed shard sizes are only tracked through this engine's own
-  // mutations, so do not let a stale total clamp the merge; the
-  // per-shard lists bound it anyway.
-  const size_t total = size();
-  const size_t p = composed_ ? options.p : std::min(options.p, total);
-
-  const size_t num_shards = shards_.size();
-  std::vector<std::vector<ScoredIndex>> per_shard(num_shards);
-  std::vector<size_t> rows_scanned(num_shards, 0);
-  size_t rows_pruned_all = 0;
-  MonotonicClock::time_point scatter_start = MonotonicClock::now();
-  QSE_RETURN_IF_ERROR(ScatterScan(embedded_query, options, p,
-                                  options_.scatter_threads, /*trace=*/nullptr,
-                                  &per_shard, &rows_scanned, &rows_pruned_all,
-                                  /*audit_snaps=*/nullptr));
-  scatter_ns_->Record(NsSince(scatter_start));
-
-  ScanCandidatesResult result;
-  result.candidates = MergeSortedTopK(per_shard, p);
-  for (size_t rows : rows_scanned) result.rows += rows;
-  result.rows_pruned = rows_pruned_all;
-  filter_rows_visited_total_->Add(result.rows);
-  filter_rows_pruned_total_->Add(result.rows_pruned);
-  return result;
+void ShardedRetrievalEngine::InitPipeline() {
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  pipeline_.embedder = embedder_;
+  pipeline_.num_sources = shards_.size();
+  pipeline_.scan = [this](size_t s, const Vector& embedded_query,
+                          const RetrievalOptions& options,
+                          obs::RequestTrace*) {
+    return shards_[s]->ScanCandidates(embedded_query, options);
+  };
+  pipeline_.known_empty = [this] { return size() == 0; };
+  pipeline_.scan_span = "shard_scan";
+  PipelineMetrics& m = pipeline_.metrics;
+  m.retrievals_total = registry.GetCounter("qse_sharded_retrievals_total");
+  m.exact_distances_total =
+      registry.GetCounter("qse_sharded_exact_distances_total");
+  m.filter_rows_visited_total =
+      registry.GetCounter("qse_sharded_filter_rows_visited_total");
+  m.filter_rows_pruned_total =
+      registry.GetCounter("qse_sharded_filter_rows_pruned_total");
+  m.embed_ns = registry.GetHistogram("qse_sharded_embed_latency_ns",
+                                     obs::DefaultLatencyBoundariesNs());
+  m.scan_ns = registry.GetHistogram("qse_sharded_scatter_latency_ns",
+                                    obs::DefaultLatencyBoundariesNs());
+  m.merge_ns = registry.GetHistogram("qse_sharded_merge_latency_ns",
+                                     obs::DefaultLatencyBoundariesNs());
+  m.refine_ns = registry.GetHistogram("qse_sharded_refine_latency_ns",
+                                      obs::DefaultLatencyBoundariesNs());
 }
 
 StatusOr<RetrievalResponse> ShardedRetrievalEngine::Retrieve(
     const RetrievalRequest& request) const {
-  StatusOr<RetrievalResponse> result =
-      ScatterGather(request.dx, request.options, options_.scatter_threads,
-                    request.trace);
-  if (result.ok()) result.value().trace = request.trace;
-  return result;
+  return pipeline_.Retrieve(request.dx, request.options,
+                            options_.scatter_threads, request.trace);
 }
 
 StatusOr<std::vector<RetrievalResponse>> ShardedRetrievalEngine::RetrieveBatch(
     const std::vector<DxToDatabaseFn>& queries,
     const RetrievalOptions& options) const {
-  // Validate once up front, matching RetrievalEngine::RetrieveBatch.
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  if (size() == 0) {
-    return Status::FailedPrecondition("embedded database is empty");
-  }
-
-  std::vector<RetrievalResponse> results(queries.size());
-  // Concurrent mutation can still empty the engine mid-batch; collect
-  // the first such failure and fail the batch honestly.
-  std::mutex error_mu;
-  Status first_error = Status::OK();
-  // Parallelize across queries and scan each query's shards serially
-  // (scatter_threads = 1): one level of parallelism, no nested thread
-  // fan-out, and per-query results identical to Retrieve's.
-  ParallelForGrain(
-      0, queries.size(), 2,
-      [&](size_t i) {
-        StatusOr<RetrievalResponse> r = ScatterGather(
-            queries[i], options, /*scatter_threads=*/1, /*trace=*/{});
-        if (!r.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = r.status();
-          return;
-        }
-        results[i] = std::move(r).value();
-      },
-      options.num_threads);
-  QSE_RETURN_IF_ERROR(first_error);
-  return results;
+  // Parallelize across queries and scan each query's shards serially:
+  // one level of parallelism, no nested thread fan-out, and per-query
+  // results identical to Retrieve's.
+  return RetrieveEach(queries, options, [&](const DxToDatabaseFn& dx) {
+    return pipeline_.Retrieve(dx, options, /*scan_threads=*/1, {});
+  });
 }
 
 Status ShardedRetrievalEngine::Insert(size_t db_id, const DxToDatabaseFn& dx) {
   std::lock_guard<std::mutex> lock(mutation_mu_);
-  if (shard_of_.count(db_id) != 0) {
-    return Status::InvalidArgument("database id already present: " +
-                                   std::to_string(db_id));
-  }
-  size_t s = AssignShard(db_id);
-  Status status = shards_[s].backend != nullptr
-                      ? shards_[s].backend->Insert(db_id, dx)
-                      : shards_[s].engine->Insert(db_id, dx);
-  if (!status.ok()) return status;
-  shard_of_.emplace(db_id, s);
+  QSE_RETURN_IF_ERROR(shards_[ShardOf(db_id)]->Insert(db_id, dx));
   total_size_.fetch_add(1, std::memory_order_acq_rel);
   return Status::OK();
 }
@@ -466,51 +143,30 @@ Status ShardedRetrievalEngine::Insert(size_t db_id, const DxToDatabaseFn& dx) {
 Status ShardedRetrievalEngine::InsertEmbedded(size_t db_id,
                                               const Vector& embedded_row) {
   std::lock_guard<std::mutex> lock(mutation_mu_);
-  if (shard_of_.count(db_id) != 0) {
-    return Status::InvalidArgument("database id already present: " +
-                                   std::to_string(db_id));
-  }
-  size_t s = AssignShard(db_id);
-  Status status = shards_[s].backend != nullptr
-                      ? shards_[s].backend->InsertEmbedded(db_id, embedded_row)
-                      : shards_[s].engine->InsertEmbedded(db_id, embedded_row);
-  if (!status.ok()) return status;
-  shard_of_.emplace(db_id, s);
+  QSE_RETURN_IF_ERROR(
+      shards_[ShardOf(db_id)]->InsertEmbedded(db_id, embedded_row));
   total_size_.fetch_add(1, std::memory_order_acq_rel);
   return Status::OK();
 }
 
 Status ShardedRetrievalEngine::Remove(size_t db_id) {
   std::lock_guard<std::mutex> lock(mutation_mu_);
-  auto it = shard_of_.find(db_id);
-  if (it == shard_of_.end()) {
-    return Status::NotFound("database id not present: " +
-                            std::to_string(db_id));
-  }
-  Shard& shard = shards_[it->second];
-  Status status = shard.backend != nullptr ? shard.backend->Remove(db_id)
-                                           : shard.engine->Remove(db_id);
-  if (!status.ok()) return status;
-  shard_of_.erase(it);
+  QSE_RETURN_IF_ERROR(shards_[ShardOf(db_id)]->Remove(db_id));
   total_size_.fetch_sub(1, std::memory_order_acq_rel);
   return Status::OK();
 }
 
+const RetrievalEngine& ShardedRetrievalEngine::shard(size_t s) const {
+  QSE_CHECK_MSG(s < dbs_.size(), "shard(s) needs a locally-owned shard");
+  return static_cast<const RetrievalEngine&>(*shards_[s]);
+}
+
 void ShardedRetrievalEngine::RebuildAfterRestore() {
-  std::lock_guard<std::mutex> lock(mutation_mu_);
-  shard_of_.clear();
+  QSE_CHECK_MSG(!dbs_.empty(), "RebuildAfterRestore needs local shards");
   size_t total = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    QSE_CHECK_MSG(shards_[s].engine != nullptr,
-                  "RebuildAfterRestore needs locally-owned shards");
-    shards_[s].engine->RebuildIdIndex();
-    std::vector<size_t> ids = shards_[s].db->ids();
-    for (size_t id : ids) {
-      bool inserted = shard_of_.emplace(id, s).second;
-      QSE_CHECK_MSG(inserted, "duplicate database id " << id
-                                                       << " across shards");
-    }
-    total += ids.size();
+    static_cast<RetrievalEngine&>(*shards_[s]).RebuildIdIndex();
+    total += dbs_[s]->size();
   }
   total_size_.store(total, std::memory_order_release);
 }
@@ -518,19 +174,8 @@ void ShardedRetrievalEngine::RebuildAfterRestore() {
 std::vector<size_t> ShardedRetrievalEngine::shard_sizes() const {
   std::vector<size_t> sizes;
   sizes.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) sizes.push_back(ShardSize(s));
+  for (const auto& shard : shards_) sizes.push_back(shard->size());
   return sizes;
-}
-
-StatusOr<size_t> ShardedRetrievalEngine::ShardOf(size_t db_id) const {
-  std::lock_guard<std::mutex> lock(mutation_mu_);
-  auto it = shard_of_.find(db_id);
-  if (it != shard_of_.end()) return it->second;
-  if (options_.assignment == ShardAssignment::kHashId) {
-    return AssignShard(db_id);  // Pure function of the id.
-  }
-  return Status::NotFound("database id not present: " +
-                          std::to_string(db_id));
 }
 
 }  // namespace qse

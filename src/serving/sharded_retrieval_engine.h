@@ -4,42 +4,28 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/embedding/embedder.h"
-#include "src/obs/metric_registry.h"
 #include "src/retrieval/embedded_database.h"
 #include "src/retrieval/filter_scorer.h"
 #include "src/retrieval/retrieval_backend.h"
 #include "src/retrieval/retrieval_engine.h"
+#include "src/retrieval/retrieval_pipeline.h"
 #include "src/util/statusor.h"
 
 namespace qse {
 
-/// How Insert routes a database id to a shard.
-enum class ShardAssignment {
-  /// shard = mix64(db_id) % S.  Stateless and deterministic: two engines
-  /// built over the same ids always agree, so shard layouts are
-  /// reproducible across processes (and, later, across nodes).
-  kHashId,
-  /// The currently smallest shard (ties broken by lowest shard index).
-  /// Keeps shard sizes within one row of each other whatever the id
-  /// distribution, at the cost of a layout that depends on insert order.
-  kLeastLoaded,
-};
-
-/// The kHashId partition function, exposed so out-of-process shard
-/// builders (a remote shard server populating its slice of the database)
-/// can reproduce the exact partition a composed ShardedRetrievalEngine
-/// will route against.
+/// The routing function: shard = mix64(db_id) % S.  Stateless and
+/// deterministic, so two engines built over the same ids always agree
+/// and out-of-process shard builders (a remote shard server populating
+/// its slice of the database) reproduce the exact partition a composed
+/// ShardedRetrievalEngine routes mutations against.
 size_t HashShardOf(size_t db_id, size_t num_shards);
 
 struct ShardedEngineOptions {
   /// Number of shards S.  0 means one shard per hardware core.
   size_t num_shards = 0;
-  ShardAssignment assignment = ShardAssignment::kHashId;
   /// Threads used to scatter ONE query's filter step across shards
   /// (Retrieve).  0 means hardware concurrency.  RetrieveBatch ignores
   /// this and parallelizes across queries instead, scanning each query's
@@ -52,14 +38,15 @@ struct ShardedEngineOptions {
   uint32_t filter_shadows = 0;
 };
 
-/// Scatter/gather retrieval over S per-shard engines — the serving layer's
-/// answer to the filter step's linear scan growing with n: each shard owns
-/// an EmbeddedDatabase + RetrievalEngine over a disjoint subset of the
-/// database, one query's filter scan fans out across shards in parallel,
-/// per-shard top-p candidate lists are gathered through a k-way heap merge
-/// (MergeSortedTopK), and a single global refine re-ranks the merged top p
-/// by exact distance.  A request with want_stats receives per-shard
-/// scan/candidate counters in RetrievalResponse::shard_stats.
+/// Scatter/gather retrieval over S shard backends — the serving layer's
+/// answer to the filter step's linear scan growing with n: each shard
+/// holds a disjoint subset of the database (an owned RetrievalEngine, or
+/// a composed backend such as a remote stub), and the shared
+/// RetrievalPipeline embeds the query once, fans its filter scan out
+/// across the shards' ScanCandidates in parallel, merges the per-shard
+/// top-p lists (MergeSortedTopK) and refines the merged top p by exact
+/// distance.  A request with want_stats receives per-shard scan/candidate
+/// counters in RetrievalResponse::shard_stats.
 ///
 /// Exactness: results are bit-identical to an unsharded RetrievalEngine at
 /// equal p over the same data — every row's filter score is computed by the
@@ -74,8 +61,8 @@ struct ShardedEngineOptions {
 /// after which a tie at the p boundary may keep a different (equally
 /// correct) tied candidate.
 ///
-/// Neighbor indices in results are database ids, not rows: shard-local row
-/// positions are meaningless to callers, so db_id_of() is the identity.
+/// Mutations route by HashShardOf; the owning shard rejects duplicate
+/// and unknown ids, so ids present at construction are removable too.
 ///
 /// Thread-safety matches RetrievalEngine: Retrieve/RetrieveBatch are const
 /// and safe concurrently; Insert/Remove are serialized internally and may
@@ -91,8 +78,8 @@ class ShardedRetrievalEngine : public RetrievalBackend {
   ShardedRetrievalEngine(const Embedder* embedder, const FilterScorer* scorer,
                          ShardedEngineOptions options = {});
 
-  /// Partitions an already-embedded database across shards by the
-  /// assignment policy, copying rows — no re-embedding.  `db_ids[i]` is
+  /// Partitions an already-embedded database across shards by
+  /// HashShardOf, copying rows — no re-embedding.  `db_ids[i]` is
   /// the database id of row i of `db`; ids must be unique.  `db` is only
   /// read during construction and not retained.
   ShardedRetrievalEngine(const Embedder* embedder, const FilterScorer* scorer,
@@ -103,16 +90,15 @@ class ShardedRetrievalEngine : public RetrievalBackend {
   /// Composes over pre-built shard backends instead of owning local
   /// engines — the multi-node topology: each backend is typically a
   /// RemoteRetrievalBackend (or a HedgedReplicaBackend over several),
-  /// and the scatter step calls its ScanCandidates over the wire while
-  /// everything else (embed once, merge, single global refine) runs
-  /// unchanged.  shard_backends[s] serves shard s; with kHashId
-  /// assignment the backends must hold the same id partition this
-  /// engine's own constructors would build, or Insert routing and
-  /// retrieval parity break.  options.num_shards is taken from the
+  /// scanned over the wire exactly like owned shards are scanned in
+  /// process.  shard_backends[s] serves shard s and must hold the
+  /// HashShardOf partition this engine's own constructors would build,
+  /// or mutation routing breaks.  options.num_shards is taken from the
   /// backend count; options.filter_shadows is ignored (the backends own
   /// their shadow setup).  size() is the construction-time sum plus
-  /// mutations routed through this engine; quality audits are disabled
-  /// (the pinned snapshots live in other processes).
+  /// mutations routed through this engine.  Quality audits run only
+  /// when every shard hands back a pinned snapshot (local engines), never
+  /// over remote shards.
   ShardedRetrievalEngine(
       const Embedder* embedder,
       std::vector<std::shared_ptr<RetrievalBackend>> shard_backends,
@@ -129,24 +115,17 @@ class ShardedRetrievalEngine : public RetrievalBackend {
       const std::vector<DxToDatabaseFn>& queries,
       const RetrievalOptions& options) const override;
 
-  /// Embeds the new object once and appends it to the shard chosen by the
-  /// assignment policy.  InvalidArgument on a duplicate id.  Safe
-  /// concurrently with retrievals.
+  /// Inserts into shard ShardOf(db_id), which embeds the object once.
+  /// InvalidArgument on a duplicate id.  Safe concurrently with
+  /// retrievals.
   Status Insert(size_t db_id, const DxToDatabaseFn& dx) override;
 
-  /// Removes from whichever shard holds the id.  NotFound when absent.
-  /// Safe concurrently with retrievals.
+  /// Removes from shard ShardOf(db_id).  NotFound when absent.  Safe
+  /// concurrently with retrievals.
   Status Remove(size_t db_id) override;
 
-  /// Filter-only scan: scatter across shards, merge to the global top-p,
-  /// skip the refine — what this engine contributes when it is itself a
-  /// shard of a larger (hierarchical or multi-node) deployment.
-  StatusOr<ScanCandidatesResult> ScanCandidates(
-      const Vector& embedded_query,
-      const RetrievalOptions& options) const override;
-
-  /// Routes an already-embedded row to the shard the assignment policy
-  /// picks (the remote Insert path).  InvalidArgument on duplicate id.
+  /// Routes an already-embedded row to shard ShardOf(db_id) (the remote
+  /// Insert path).  InvalidArgument on duplicate id.
   Status InsertEmbedded(size_t db_id, const Vector& embedded_row) override;
 
   /// Total objects across all shards.
@@ -154,114 +133,47 @@ class ShardedRetrievalEngine : public RetrievalBackend {
     return total_size_.load(std::memory_order_acquire);
   }
 
-  /// Sharded results already carry database ids; identity.
-  size_t db_id_of(size_t neighbor_index) const override {
-    return neighbor_index;
-  }
-
   size_t num_shards() const { return shards_.size(); }
   /// Current per-shard sizes (the static half of the load picture).
   std::vector<size_t> shard_sizes() const;
-  /// Shard an id would route to under kHashId, or currently lives in.
-  /// Serialized with mutations (it reads the routing table).
-  StatusOr<size_t> ShardOf(size_t db_id) const;
+  /// Shard that owns `db_id`: HashShardOf over this engine's shards.
+  size_t ShardOf(size_t db_id) const {
+    return HashShardOf(db_id, shards_.size());
+  }
   /// The local engine of shard `s`; only valid for locally-owned shards
   /// (engines constructed by the first two constructors, never the
   /// backend-composing one).
-  const RetrievalEngine& shard(size_t s) const { return *shards_[s].engine; }
+  const RetrievalEngine& shard(size_t s) const;
 
   /// Shard s's database, mutable — the durability subsystem's restore
   /// target (RestoreVersion installs the snapshot contents verbatim,
-  /// then RebuildAfterRestore() re-derives the routing state).  Only
+  /// then RebuildAfterRestore() re-derives the engines' state).  Only
   /// valid for locally-owned shards.  Quiescent API.
-  EmbeddedDatabase* mutable_shard_db(size_t s) { return shards_[s].db.get(); }
+  EmbeddedDatabase* mutable_shard_db(size_t s) { return dbs_[s].get(); }
 
   /// Re-derives every piece of state the constructors normally build —
-  /// each local engine's id -> row index, the id -> shard routing table
-  /// and the total size — from the shard databases' current contents.
-  /// Call after restoring shard databases via mutable_shard_db() +
-  /// RestoreVersion.  Quiescent API; local shards only.
+  /// each local engine's id -> row index and the total size — from the
+  /// shard databases' current contents.  Call after restoring shard
+  /// databases via mutable_shard_db() + RestoreVersion.  Quiescent API;
+  /// local shards only.
   void RebuildAfterRestore();
 
  private:
-  struct Shard {
-    // unique_ptr keeps addresses stable under vector growth and engine
-    // moves: each engine holds a raw pointer to its shard's database.
-    std::unique_ptr<EmbeddedDatabase> db;
-    std::unique_ptr<RetrievalEngine> engine;
-    /// Non-null for composed (typically remote) shards; db/engine are
-    /// null then and every operation goes through this interface.
-    std::shared_ptr<RetrievalBackend> backend;
-  };
-
-  /// Shard that Insert would place `db_id` in right now.
-  size_t AssignShard(size_t db_id) const;
-
-  /// Rows shard `s` holds right now, whichever kind it is.
-  size_t ShardSize(size_t s) const;
-
-  /// The scatter phase shared by ScatterGather and ScanCandidates: runs
-  /// every shard's filter-only scan (locally over a pinned snapshot, or
-  /// through the shard's composed backend) and fills the per-shard
-  /// (score, id)-sorted candidate lists plus scan accounting.  `p` must
-  /// already be clamped to size().  audit_snaps is null when no audit
-  /// will run (always, for composed shards).
-  Status ScatterScan(
-      const Vector& fq, const RetrievalOptions& options, size_t p,
-      size_t scatter_threads, obs::RequestTrace* trace,
-      std::vector<std::vector<ScoredIndex>>* per_shard,
-      std::vector<size_t>* rows_scanned, size_t* rows_pruned_out,
-      std::vector<std::optional<EmbeddedDatabase::Snapshot>>* audit_snaps)
-      const;
-
-  /// The scatter/gather pipeline behind both Retrieve entry points,
-  /// taking the envelope pieces by reference so the batch loop never
-  /// copies a query functor or the options per query.  A non-null
-  /// `trace` gets embed / per-shard shard_scan / merge / refine spans
-  /// (sampled requests coming through Retrieve; RetrieveBatch runs
-  /// untraced).  Shared ownership so a sampled quality audit can carry
-  /// the trace along.
-  StatusOr<RetrievalResponse> ScatterGather(
-      const DxToDatabaseFn& dx, const RetrievalOptions& options,
-      size_t scatter_threads,
-      const std::shared_ptr<obs::RequestTrace>& trace) const;
+  /// Wires the pipeline to the shards; called by every constructor.
+  void InitPipeline();
 
   const Embedder* embedder_;
-  const FilterScorer* scorer_;
   ShardedEngineOptions options_;
-  std::vector<Shard> shards_;
-  /// True when built over composed shard backends (third constructor):
-  /// disables quality audits (no local snapshots to pin).
-  bool composed_ = false;
-  /// Global-registry metrics, resolved once at construction (in-class
-  /// so both constructors share the list); the hot path only touches
-  /// the striped cells behind these pointers.
-  obs::Counter* retrievals_total_ = obs::MetricRegistry::Global().GetCounter(
-      "qse_sharded_retrievals_total");
-  obs::Counter* exact_distances_total_ =
-      obs::MetricRegistry::Global().GetCounter(
-          "qse_sharded_exact_distances_total");
-  obs::Counter* filter_rows_visited_total_ =
-      obs::MetricRegistry::Global().GetCounter(
-          "qse_sharded_filter_rows_visited_total");
-  obs::Counter* filter_rows_pruned_total_ =
-      obs::MetricRegistry::Global().GetCounter(
-          "qse_sharded_filter_rows_pruned_total");
-  obs::Histogram* embed_ns_ = obs::MetricRegistry::Global().GetHistogram(
-      "qse_sharded_embed_latency_ns", obs::DefaultLatencyBoundariesNs());
-  obs::Histogram* scatter_ns_ = obs::MetricRegistry::Global().GetHistogram(
-      "qse_sharded_scatter_latency_ns", obs::DefaultLatencyBoundariesNs());
-  obs::Histogram* merge_ns_ = obs::MetricRegistry::Global().GetHistogram(
-      "qse_sharded_merge_latency_ns", obs::DefaultLatencyBoundariesNs());
-  obs::Histogram* refine_ns_ = obs::MetricRegistry::Global().GetHistogram(
-      "qse_sharded_refine_latency_ns", obs::DefaultLatencyBoundariesNs());
-  /// Serializes Insert/Remove (and ShardOf's routing-table read) against
-  /// each other; retrievals never take it — they pin shard snapshots.
-  mutable std::mutex mutation_mu_;
-  /// database id -> shard, maintained only under mutation_mu_; the
-  /// retrieval path resolves shard attribution from its own per-shard
-  /// candidate lists instead.
-  std::unordered_map<size_t, size_t> shard_of_;
+  /// Shard s's backend, scanned through ScanCandidates.  For the local
+  /// constructors it is a RetrievalEngine over dbs_[s].
+  std::vector<std::shared_ptr<RetrievalBackend>> shards_;
+  /// Locally-owned shard databases; empty for a composed engine.
+  /// unique_ptr keeps addresses stable: each engine points at its db.
+  std::vector<std::unique_ptr<EmbeddedDatabase>> dbs_;
+  RetrievalPipeline pipeline_;
+  /// Serializes Insert/Remove, so each shard mutation and its count
+  /// update land together; retrievals never take it.
+  std::mutex mutation_mu_;
   /// Total objects across shards; read lock-free by the retrieval path.
   std::atomic<size_t> total_size_{0};
 };

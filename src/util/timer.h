@@ -92,6 +92,15 @@ inline MonotonicClock::time_point MonotonicClock::now() {
 }
 
 /// Wall-clock stopwatch used by benches and experiment harnesses.
+/// Nanoseconds elapsed on MonotonicClock since `start` — the latency
+/// histograms' unit.
+inline uint64_t NsSince(MonotonicClock::time_point start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          MonotonicClock::now() - start)
+          .count());
+}
+
 class Timer {
  public:
   Timer() : start_(MonotonicClock::now()) {}

@@ -1,5 +1,6 @@
 #include "src/retrieval/embedded_database.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -180,6 +181,29 @@ TEST(EmbeddedDatabaseTest, VacatedLastSlotIsNotRewrittenUnderAPin) {
   // ...and the new state has the fresh row.
   EXPECT_EQ(db.RowVector(1), (Vector{7, 7}));
   EXPECT_EQ(db.id_of(1), 7u);
+}
+
+TEST(EmbeddedDatabaseTest, AppendRemoveLastCyclesKeepCapacityBounded) {
+  // Remove-of-the-last-row leaves a published slot below high_water, so
+  // the next Append must copy — but only into the current capacity, not
+  // a doubled one, or each cycle doubles it until allocation fails.
+  for (uint32_t shadows : {0u, kShadowFloat32 | kShadowInt8}) {
+    EmbeddedDatabase db = EmbeddedDatabase::FromRows({{0, 0}, {1, 1}});
+    if (shadows != 0) db.EnableFilterShadows(shadows);
+    size_t peak_rows = db.size();
+    for (size_t cycle = 0; cycle < 200; ++cycle) {
+      const double v = static_cast<double>(cycle % 7);
+      db.Append({v, -v}, 100 + cycle);
+      peak_rows = std::max(peak_rows, db.size());
+      const size_t last = db.size() - 1;
+      ASSERT_EQ(db.SwapRemove(last), last);
+      ASSERT_LE(db.capacity(), 2 * std::max<size_t>(peak_rows, 4))
+          << "cycle " << cycle << " shadows " << shadows;
+    }
+    EXPECT_EQ(db.size(), 2u);
+    EXPECT_EQ(db.RowVector(1), (Vector{1, 1}));
+    EXPECT_EQ(db.filter_shadows(), shadows);
+  }
 }
 
 TEST(EmbeddedDatabaseTest, IdColumnFollowsMutations) {

@@ -9,12 +9,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench/drift_scenarios.h"
 #include "src/data/drift_generator.h"
 #include "src/embedding/fastmap.h"
+#include "src/net/hedged_backend.h"
 #include "src/retrieval/filter_refine.h"
 #include "src/retrieval/retrieval_engine.h"
 #include "src/server/async_retrieval_server.h"
@@ -211,6 +213,52 @@ TEST(QualityMonitorTest, ShardedEngineAuditsPerfectlyAtPEqualsN) {
   EXPECT_EQ(stats.mismatches, 0u);
   EXPECT_DOUBLE_EQ(stats.recall_at_k, 1.0);
   EXPECT_DOUBLE_EQ(stats.score_error, 0.0);
+}
+
+TEST(QualityMonitorTest, ComposedShardedEngineAuditsOnlyPinnedShards) {
+  // Local engines passed in as shard backends hand their pinned
+  // snapshots back to a sampled request, so the composed engine audits
+  // them; a shard that pins nothing (here a replica set, which strips
+  // the audit request like a remote stub) turns audits off instead of
+  // scoring a partial database.
+  constexpr size_t kN = 70;
+  constexpr size_t kShards = 2;
+  MonitorStack stack(kN, 6, 4, 23);
+  std::vector<std::vector<size_t>> ids(kShards);
+  for (size_t id : stack.db_ids) ids[HashShardOf(id, kShards)].push_back(id);
+  std::vector<EmbeddedDatabase> dbs;
+  std::vector<std::shared_ptr<RetrievalBackend>> engines;
+  for (const std::vector<size_t>& shard_ids : ids) {
+    dbs.push_back(EmbedDatabase(stack.model, stack.oracle, shard_ids));
+  }
+  for (size_t s = 0; s < kShards; ++s) {
+    engines.push_back(std::make_shared<RetrievalEngine>(
+        &stack.model, &stack.scorer, &dbs[s], ids[s]));
+  }
+  ShardedRetrievalEngine local(&stack.model, engines);
+  ShardedRetrievalEngine unpinned(
+      &stack.model,
+      {engines[0], std::make_shared<net::HedgedReplicaBackend>(
+                       std::vector<std::shared_ptr<RetrievalBackend>>{
+                           engines[1]})});
+
+  MetricRegistry registry;
+  QualityMonitorOptions qopts;
+  qopts.sample_every_n = 1;
+  qopts.registry = &registry;
+  QualityMonitor monitor(qopts);
+  RetrievalOptions options = test::Opts(5, kN);
+  options.audit_monitor = &monitor;
+  for (size_t q = kN; q < kN + 6; ++q) {
+    ASSERT_TRUE(local.Retrieve({stack.Query(q), options}).ok());
+    ASSERT_TRUE(unpinned.Retrieve({stack.Query(q), options}).ok());
+  }
+  monitor.Flush();
+  QualityMonitorStats stats = monitor.stats();
+  EXPECT_EQ(stats.sampled, 6u);
+  EXPECT_EQ(stats.completed, 6u);
+  EXPECT_EQ(stats.mismatches, 0u);
+  EXPECT_DOUBLE_EQ(stats.recall_at_k, 1.0);
 }
 
 TEST(QualityMonitorTest, AttachingMonitorDoesNotChangeResults) {

@@ -296,7 +296,7 @@ TEST(RetrievalEngineTest, RemoveKeepsMappingConsistent) {
 
   // Every surviving row must still carry its own embedding.
   for (size_t row = 0; row < engine.size(); ++row) {
-    size_t id = engine.db_id_of(row);
+    size_t id = engine.db().id_of(row);
     EXPECT_NE(id, 5u);
     EXPECT_NE(id, 19u);
     EXPECT_EQ(db.RowVector(row), reference.RowVector(id))
@@ -315,6 +315,39 @@ TEST(RetrievalEngineTest, RemoveKeepsMappingConsistent) {
             live_ids[exact[0].index]);
 }
 
+TEST(RetrievalEngineTest, NeighborsAreDatabaseIdsAfterInteriorRemoves) {
+  // Ids descend while rows ascend (odd object ids 79, 77, ..., 1), and
+  // interior removes move rows around: a neighbor index that was a row
+  // would name the wrong object.  Neighbors are database ids and
+  // db_id_of is the identity.
+  constexpr size_t kN = 40;
+  ObjectOracle<Vector> oracle = test::MakePlaneOracle(2 * kN + 1, 27);
+  std::vector<size_t> ids;
+  for (size_t row = 0; row < kN; ++row) ids.push_back(2 * (kN - row) - 1);
+  FastMapOptions options;
+  options.dims = 3;
+  FastMapModel model = BuildFastMap(oracle, ids, options);
+  L2Scorer scorer;
+  EmbeddedDatabase db = EmbedDatabase(model, oracle, ids);
+  RetrievalEngine engine(&model, &scorer, &db, ids);
+  for (size_t id : {73u, 45u, 29u, 79u}) {
+    ASSERT_TRUE(engine.Remove(id).ok()) << id;
+  }
+
+  const size_t query = 2 * kN;  // Even: not a database object.
+  auto dx = [&](size_t id) { return oracle.Distance(query, id); };
+  auto r = engine.Retrieve({dx, RetrievalOptions(6, engine.size())});
+  ASSERT_TRUE(r.ok()) << r.status();
+  std::vector<size_t> live_ids = engine.db_ids();
+  std::vector<ScoredIndex> exact = ExactKnnExternal(dx, live_ids, 6);
+  ASSERT_EQ(r->neighbors.size(), exact.size());
+  for (size_t i = 0; i < exact.size(); ++i) {
+    EXPECT_EQ(r->neighbors[i].index, live_ids[exact[i].index]) << i;
+    EXPECT_EQ(r->neighbors[i].score, exact[i].score) << i;
+    EXPECT_EQ(engine.db_id_of(r->neighbors[i].index), r->neighbors[i].index);
+  }
+}
+
 // --- Remove's swap-with-last bookkeeping edge cases ---------------------
 
 /// Asserts row <-> id maps are mutually consistent and every row still
@@ -322,7 +355,7 @@ TEST(RetrievalEngineTest, RemoveKeepsMappingConsistent) {
 void ExpectConsistentMapping(const RetrievalEngine& engine,
                              const EmbeddedDatabase& reference) {
   for (size_t row = 0; row < engine.size(); ++row) {
-    size_t id = engine.db_id_of(row);
+    size_t id = engine.db().id_of(row);
     EXPECT_EQ(engine.db().RowVector(row), reference.RowVector(id))
         << "row " << row << " id " << id;
   }
@@ -343,7 +376,7 @@ TEST(RetrievalEngineTest, RemoveLastRowMovesNothing) {
   ASSERT_TRUE(engine.Remove(9).ok());
   EXPECT_EQ(engine.size(), 9u);
   for (size_t row = 0; row < engine.size(); ++row) {
-    EXPECT_EQ(engine.db_id_of(row), row);  // Untouched prefix.
+    EXPECT_EQ(engine.db().id_of(row), row);  // Untouched prefix.
   }
   ExpectConsistentMapping(engine, reference);
 }
@@ -401,7 +434,7 @@ TEST(RetrievalEngineTest, ReinsertingRemovedIdWorks) {
   EXPECT_EQ(dup.code(), StatusCode::kInvalidArgument);
 
   // Remove/re-insert cycling through the *last* row too.
-  size_t last_id = engine.db_id_of(engine.size() - 1);
+  size_t last_id = engine.db().id_of(engine.size() - 1);
   ASSERT_TRUE(engine.Remove(last_id).ok());
   auto dx_last = [&](size_t o) {
     return o == last_id ? 0.0 : s.oracle.Distance(last_id, o);

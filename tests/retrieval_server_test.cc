@@ -278,47 +278,6 @@ TEST(RetrievalServerTest, ServerRejectsExpiredBudgetBeforeScanning) {
   EXPECT_TRUE(response.neighbors.empty());
 }
 
-TEST(RetrievalServerTest, RetrieveRawUsesServerSideResolver) {
-  // kRetrieve: the raw query crosses the wire and the server resolves
-  // it to a dx itself — the thin-client path.
-  Stack stack(50, 3, 46);
-  RetrievalServerOptions options = ServerOptions();
-  options.raw_query_resolver =
-      [&stack](const std::vector<double>& raw) -> DxToDatabaseFn {
-    // Raw query = a point in the plane; dx = L2 to database objects.
-    return [&stack, raw](size_t id) {
-      return L2Distance(raw, stack.oracle.object(id));
-    };
-  };
-  RetrievalServer server(stack.engine.get(), options);
-  ASSERT_TRUE(server.Start(0).ok());
-  RemoteRetrievalBackend remote(&stack.model, "127.0.0.1", server.port(),
-                                ClientOptions());
-
-  const size_t query_id = stack.query_ids[0];
-  const Vector& raw = stack.oracle.object(query_id);
-  RetrievalOptions ropts(3, 10);
-  auto want = stack.engine->Retrieve({stack.QueryDx(query_id), ropts});
-  auto got = remote.RetrieveRaw(raw, ropts);
-  ASSERT_TRUE(want.ok() && got.ok())
-      << want.status().message() << got.status().message();
-  ASSERT_EQ(want->neighbors.size(), got->neighbors.size());
-  for (size_t i = 0; i < want->neighbors.size(); ++i) {
-    EXPECT_EQ(stack.engine->db_id_of(want->neighbors[i].index),
-              got->neighbors[i].index);
-    EXPECT_EQ(want->neighbors[i].score, got->neighbors[i].score);
-  }
-
-  // Without a resolver the op is a FailedPrecondition, not a crash.
-  RetrievalServer bare_server(stack.engine.get(), ServerOptions());
-  ASSERT_TRUE(bare_server.Start(0).ok());
-  RemoteRetrievalBackend bare_remote(&stack.model, "127.0.0.1",
-                                     bare_server.port(), ClientOptions());
-  auto refused = bare_remote.RetrieveRaw(raw, ropts);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
-}
-
 TEST(RetrievalServerTest, ApplicationErrorsCrossTheWireIntact) {
   Stack stack(30, 1, 47);
   RetrievalServer server(stack.engine.get(), ServerOptions());

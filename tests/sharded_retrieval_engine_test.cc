@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -38,8 +39,8 @@ DxToDatabaseFn QueryDx(const Stack& s, size_t query_id) {
   };
 }
 
-/// Asserts that a sharded result (neighbor indices = database ids) equals
-/// a monolithic result (neighbor indices = rows) on ids, scores and costs.
+/// Asserts that a sharded result equals a monolithic result on ids,
+/// scores and costs.
 void ExpectSameResult(const RetrievalEngine& mono,
                       const RetrievalResponse& expected,
                       const RetrievalResponse& sharded, const char* context) {
@@ -125,33 +126,6 @@ TEST(ShardedParityTest, QuerySensitiveScorer) {
   QseEmbedderAdapter adapter(&artifacts->model);
   QuerySensitiveScorer scorer(&artifacts->model);
   ExpectShardedMatchesMono(s, adapter, scorer, 3);
-}
-
-TEST(ShardedParityTest, LeastLoadedAssignmentAlsoExact) {
-  Stack s = MakeStack(50, 5, 33);
-  FastMapOptions fm;
-  fm.dims = 2;
-  FastMapModel model = BuildFastMap(s.oracle, s.db_ids, fm);
-  L2Scorer scorer;
-  EmbeddedDatabase db = EmbedDatabase(model, s.oracle, s.db_ids);
-  RetrievalEngine mono(&model, &scorer, &db, s.db_ids);
-
-  ShardedEngineOptions options;
-  options.num_shards = 3;
-  options.assignment = ShardAssignment::kLeastLoaded;
-  ShardedRetrievalEngine sharded(&model, &scorer, db, s.db_ids, options);
-  // Balanced by construction: sizes within one row of each other.
-  std::vector<size_t> sizes = sharded.shard_sizes();
-  size_t lo = *std::min_element(sizes.begin(), sizes.end());
-  size_t hi = *std::max_element(sizes.begin(), sizes.end());
-  EXPECT_LE(hi - lo, 1u);
-
-  for (size_t p : {1u, 10u, 50u}) {
-    auto want = mono.Retrieve({QueryDx(s, 50), RetrievalOptions(2, p)});
-    auto got = sharded.Retrieve({QueryDx(s, 50), RetrievalOptions(2, p)});
-    ASSERT_TRUE(want.ok() && got.ok());
-    ExpectSameResult(mono, *want, *got, "least-loaded");
-  }
 }
 
 TEST(ShardedParityTest, ExactUnderTiedFilterScores) {
@@ -276,17 +250,16 @@ TEST(ShardedRetrievalEngineTest, HashRoutingIsDeterministic) {
   ShardedFixture a;
   ShardedFixture b;
   for (size_t id : a.s.db_ids) {
-    auto sa = a.engine.ShardOf(id);
-    auto sb = b.engine.ShardOf(id);
-    ASSERT_TRUE(sa.ok() && sb.ok());
-    EXPECT_EQ(*sa, *sb) << id;
-    EXPECT_LT(*sa, a.engine.num_shards());
+    size_t sa = a.engine.ShardOf(id);
+    EXPECT_EQ(sa, b.engine.ShardOf(id)) << id;
+    ASSERT_LT(sa, a.engine.num_shards());
+    // Every id lives where ShardOf says it does.
+    std::vector<size_t> held = a.engine.shard(sa).db_ids();
+    EXPECT_NE(std::find(held.begin(), held.end(), id), held.end()) << id;
   }
-  // Every id lives where ShardOf says it does even for ids never seen:
-  // the hash route is a pure function of the id.
-  auto unseen = a.engine.ShardOf(12345);
-  ASSERT_TRUE(unseen.ok());
-  EXPECT_LT(*unseen, a.engine.num_shards());
+  // The hash route is a pure function of the id, even for ids never
+  // seen.
+  EXPECT_EQ(a.engine.ShardOf(12345), HashShardOf(12345, 4));
 }
 
 // Option validation and p clamping for both engines live in the
@@ -370,6 +343,46 @@ TEST(ShardedRetrievalEngineTest, BackendInterfaceServesBothEngines) {
     return ids;
   };
   EXPECT_EQ(serve(mono), serve(f.engine));
+}
+
+TEST(ShardedRetrievalEngineTest, ComposedOverFilledEnginesRoutesEveryId) {
+  // Mutations route by the stateless HashShardOf, so ids the composed
+  // shards held before composition are as removable as ids inserted
+  // through the sharded engine, and duplicates are still refused by the
+  // owning shard.
+  ShardedFixture f;
+  constexpr size_t kShards = 2;
+  std::vector<std::vector<size_t>> ids(kShards);
+  for (size_t id : f.s.db_ids) ids[HashShardOf(id, kShards)].push_back(id);
+  std::vector<EmbeddedDatabase> dbs;
+  for (const std::vector<size_t>& shard_ids : ids) {
+    dbs.push_back(EmbedDatabase(f.model, f.s.oracle, shard_ids));
+  }
+  std::vector<std::shared_ptr<RetrievalBackend>> shards;
+  for (size_t s = 0; s < kShards; ++s) {
+    shards.push_back(std::make_shared<RetrievalEngine>(&f.model, &f.scorer,
+                                                       &dbs[s], ids[s]));
+  }
+  ShardedRetrievalEngine composed(&f.model, shards);
+  const size_t n = f.s.db_ids.size();
+  ASSERT_EQ(composed.size(), n);
+
+  const size_t victim = f.s.db_ids[7];
+  ASSERT_TRUE(composed.Remove(victim).ok());
+  EXPECT_EQ(composed.size(), n - 1);
+  auto r = composed.Retrieve({QueryDx(f.s, 41), RetrievalOptions(n, n)});
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->neighbors.size(), n - 1);
+  for (const ScoredIndex& nb : r->neighbors) EXPECT_NE(nb.index, victim);
+
+  const size_t present = f.s.db_ids[8];
+  Status dup = composed.Insert(present, QueryDx(f.s, present));
+  ASSERT_FALSE(dup.ok());
+  EXPECT_EQ(dup.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(composed.size(), n - 1);
+  Status again = composed.Remove(victim);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.code(), StatusCode::kNotFound);
 }
 
 }  // namespace

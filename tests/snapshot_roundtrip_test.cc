@@ -37,17 +37,22 @@ void ExpectDbsIdentical(const EmbeddedDatabase& a, const EmbeddedDatabase& b,
   ASSERT_EQ(va.size(), vb.size());
   ASSERT_EQ(va.dims(), vb.dims());
   const size_t cells = va.size() * va.dims();
-  EXPECT_EQ(0, std::memcmp(va.data(), vb.data(), cells * sizeof(double)));
-  EXPECT_EQ(0, std::memcmp(va.ids(), vb.ids(), va.size() * sizeof(size_t)));
+  // An empty database's buffers are null, and memcmp with a null pointer
+  // is undefined even for zero bytes.
+  auto same_bytes = [](const void* x, const void* y, size_t bytes) {
+    return bytes == 0 || std::memcmp(x, y, bytes) == 0;
+  };
+  EXPECT_TRUE(same_bytes(va.data(), vb.data(), cells * sizeof(double)));
+  EXPECT_TRUE(same_bytes(va.ids(), vb.ids(), va.size() * sizeof(size_t)));
   ASSERT_EQ(va.shadows(), vb.shadows());
   if (va.has_f32()) {
-    EXPECT_EQ(0, std::memcmp(va.data_f32(), vb.data_f32(),
-                             cells * sizeof(float)));
+    EXPECT_TRUE(
+        same_bytes(va.data_f32(), vb.data_f32(), cells * sizeof(float)));
   }
   if (va.has_i8()) {
-    EXPECT_EQ(0, std::memcmp(va.data_i8(), vb.data_i8(), cells));
-    EXPECT_EQ(0, std::memcmp(va.i8_scales(), vb.i8_scales(),
-                             va.dims() * sizeof(float)));
+    EXPECT_TRUE(same_bytes(va.data_i8(), vb.data_i8(), cells));
+    EXPECT_TRUE(same_bytes(va.i8_scales(), vb.i8_scales(),
+                           va.dims() * sizeof(float)));
   }
 }
 

@@ -206,6 +206,31 @@ TEST(WireCodecTest, BadMagicAndVersionAreInvalidArgument) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(WireCodecTest, RetiredOpTagDecodesAsUnknownOp) {
+  // Tag 2 was a server-side full retrieval op; it is retired and must
+  // not decode, while its neighbors keep their numeric tags.
+  std::string payload = EncodeRequest(MakeRequest());
+  WireRequest out;
+  std::string retired = payload;
+  retired[6] = 2;  // u16 tag follows the version
+  retired[7] = 0;
+  Status status = DecodeRequest(retired, &out);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("unknown wire op 2"), std::string::npos)
+      << status;
+  for (WireOp op :
+       {WireOp::kScan, WireOp::kInsert, WireOp::kRemove, WireOp::kInfo}) {
+    WireRequest request = MakeRequest();
+    request.op = op;
+    ASSERT_TRUE(DecodeRequest(EncodeRequest(request), &out).ok());
+    EXPECT_EQ(out.op, op);
+  }
+  EXPECT_EQ(static_cast<uint16_t>(WireOp::kScan), 1);
+  EXPECT_EQ(static_cast<uint16_t>(WireOp::kInsert), 3);
+  EXPECT_EQ(static_cast<uint16_t>(WireOp::kRemove), 4);
+  EXPECT_EQ(static_cast<uint16_t>(WireOp::kInfo), 5);
+}
+
 TEST(WireCodecTest, OutOfRangeEnumsAreInvalidArgument) {
   // Patch encoded enum bytes past their ranges; offsets derived by
   // re-encoding with a sentinel is brittle, so rebuild by hand instead:
