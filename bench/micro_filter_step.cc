@@ -9,6 +9,8 @@
 //     row) against the flat row-major EmbeddedDatabase scan, same kernel,
 //     at up to n = 100k, d = 256.
 //   * full scan + SmallestK vs the fused early-abandon ScoreTopP pass.
+//   * the batch-tiled ScoreTopPBatch: per-query throughput of one pass
+//     over the rows for B = 8 queries against B = 1.
 //   * one-query-at-a-time Retrieve vs thread-parallel RetrieveBatch.
 //   * the monolithic single-query scan vs the sharded scatter/gather
 //     engine (S shards x 1 query): does sharding speed up ONE query, not
@@ -186,6 +188,35 @@ BENCHMARK(BM_ScoreTopP_EarlyAbandon)
     ->Args({100000, 100, 500})
     ->Args({100000, 256, 500})
     ->Unit(benchmark::kMicrosecond);
+
+// --- Batch-tiled scan: one pass over the rows for B queries. ------------
+//
+// Items are queries, so items_per_second is per-query throughput; the CI
+// rule (tools/check_bench_regressions.py) demands >= 1.5x at B = 8 over
+// the single-query scan, B = 1.
+
+void BM_ScoreTopPBatch(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  size_t d = static_cast<size_t>(state.range(1));
+  size_t b = static_cast<size_t>(state.range(2));
+  EmbeddedDatabase db = MakeSoaDb(n, d, 1);
+  Rng rng(5);
+  std::vector<Vector> queries(b, Vector(d));
+  for (Vector& q : queries) {
+    for (double& v : q) v = rng.Uniform(0, 1);
+  }
+  L2Scorer scorer;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        scorer.ScoreTopPBatch(queries, db, 500, FilterPrecision::kExact64));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(b));
+}
+BENCHMARK(BM_ScoreTopPBatch)
+    ->Args({100000, 256, 1})
+    ->Args({100000, 256, 8})
+    ->Unit(benchmark::kMillisecond);
 
 // --- Single-query loop vs batched, thread-parallel retrieval. -----------
 

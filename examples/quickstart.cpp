@@ -64,8 +64,9 @@ int main() {
   EmbeddedDatabase embedded = EmbedDatabase(embedder, oracle, db_ids);
 
   // --- 4. Online: batched filter-and-refine retrieval for unseen
-  // queries.  RetrieveBatch fans the queries out across all cores; each
-  // query still costs only an embedding plus p exact distances.
+  // queries.  RetrieveBatch spreads the queries across all cores and
+  // scans the embedded database once per group of queries; each query
+  // still costs only an embedding plus p exact distances.
   QuerySensitiveScorer scorer(&model);
   RetrievalEngine engine(&embedder, &scorer, &embedded, db_ids);
 

@@ -43,10 +43,19 @@ RemoteRetrievalBackend::RemoteRetrievalBackend(const Embedder* embedder,
       rpc_latency_ns_(obs::MetricRegistry::Global().GetHistogram(
           "qse_remote_rpc_latency_ns", obs::DefaultLatencyBoundariesNs())) {
   pipeline_.embedder = embedder_;
-  pipeline_.scan = [this](size_t, const Vector& embedded_query,
+  // One kScan round trip per query: the wire has no batched scan op.
+  pipeline_.scan = [this](size_t, const std::vector<Vector>& embedded_queries,
                           const RetrievalOptions& options,
-                          obs::RequestTrace* trace) {
-    return Scan(embedded_query, options, trace);
+                          obs::RequestTrace* trace)
+      -> StatusOr<std::vector<ScanCandidatesResult>> {
+    std::vector<ScanCandidatesResult> results;
+    results.reserve(embedded_queries.size());
+    for (const Vector& query : embedded_queries) {
+      StatusOr<ScanCandidatesResult> result = Scan(query, options, trace);
+      QSE_RETURN_IF_ERROR(result.status());
+      results.push_back(std::move(result).value());
+    }
+    return results;
   };
   pipeline_.scan_span = "rpc_scan";
 }
@@ -227,6 +236,12 @@ StatusOr<RetrievalResponse> RemoteRetrievalBackend::Retrieve(
     const RetrievalRequest& request) const {
   return pipeline_.Retrieve(request.dx, request.options, /*scan_threads=*/1,
                             request.trace);
+}
+
+StatusOr<std::vector<RetrievalResponse>> RemoteRetrievalBackend::RetrieveBatch(
+    const std::vector<DxToDatabaseFn>& queries,
+    const RetrievalOptions& options) const {
+  return pipeline_.RetrieveBatch(queries, options);
 }
 
 Status RemoteRetrievalBackend::Insert(size_t db_id, const DxToDatabaseFn& dx) {

@@ -73,6 +73,12 @@ class RemoteRetrievalBackend : public RetrievalBackend {
   StatusOr<RetrievalResponse> Retrieve(
       const RetrievalRequest& request) const override;
 
+  /// The pipeline over a batch: embeds client-side, then one kScan per
+  /// query (in parallel across options.num_threads), refines locally.
+  StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
+      const std::vector<DxToDatabaseFn>& queries,
+      const RetrievalOptions& options) const override;
+
   /// Ships the embedded query; returns the remote backend's top-p.
   StatusOr<ScanCandidatesResult> ScanCandidates(
       const Vector& embedded_query,

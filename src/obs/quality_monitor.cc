@@ -143,8 +143,8 @@ void QualityMonitor::WorkerLoop() {
     std::optional<AuditTask> task = queue_.Pop();
     if (!task.has_value()) return;  // closed and drained
     ProcessAudit(*task);
-    // Snapshots die here, before the done_ bump: by the time Flush
-    // returns, every audited pin has been released.
+    // The task's snapshot references drop here, before the done_ bump:
+    // by the time Flush returns, every audited pin has been released.
     task.reset();
     done_.fetch_add(1, std::memory_order_release);
   }
@@ -155,8 +155,8 @@ void QualityMonitor::ProcessAudit(AuditTask& task) {
   // path scanned, sorted ascending by (score, id) — the deterministic
   // ordering the repo uses everywhere.
   std::vector<ScoredIndex> universe;
-  for (const EmbeddedDatabase::Snapshot& snap : task.snapshots) {
-    const EmbeddedDatabase::View& view = snap.view();
+  for (const auto& snap : task.snapshots) {
+    const EmbeddedDatabase::View& view = snap->view();
     universe.reserve(universe.size() + view.size());
     for (size_t i = 0; i < view.size(); ++i) {
       size_t id = view.id_of(i);

@@ -93,10 +93,12 @@ struct AuditTask {
   /// Neighbors the serving path returned, in served order.
   std::vector<AuditNeighbor> served;
   /// The pinned views the serving path used: one for the monolithic
-  /// engine, one per shard for the sharded engine.  Holding them delays
-  /// version reclamation, which is why the audit queue is bounded and
-  /// sheds instead of growing.
-  std::vector<EmbeddedDatabase::Snapshot> snapshots;
+  /// engine, one per shard for the sharded engine.  Shared, because the
+  /// sampled requests of one batch were all served from the snapshot
+  /// their scan pass pinned.  Holding them delays version reclamation,
+  /// which is why the audit queue is bounded and sheds instead of
+  /// growing.
+  std::vector<std::shared_ptr<const EmbeddedDatabase::Snapshot>> snapshots;
   /// The request's trace when it carried one; the drift alarm stamps a
   /// mark into it.
   std::shared_ptr<RequestTrace> trace;

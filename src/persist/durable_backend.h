@@ -59,6 +59,11 @@ class DurableBackend : public RetrievalBackend {
       const RetrievalOptions& options) const override {
     return inner_->ScanCandidates(embedded_query, options);
   }
+  StatusOr<std::vector<ScanCandidatesResult>> ScanCandidatesBatch(
+      const std::vector<Vector>& embedded_queries,
+      const RetrievalOptions& options) const override {
+    return inner_->ScanCandidatesBatch(embedded_queries, options);
+  }
 
   Status Insert(size_t db_id, const DxToDatabaseFn& dx) override;
   Status InsertEmbedded(size_t db_id, const Vector& embedded_row) override;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "src/distance/lp.h"
 #include "src/distance/simd/dispatch.h"
@@ -11,62 +13,92 @@
 namespace qse {
 namespace {
 
-/// One streaming pass over the flat float64 buffer keeping the p
-/// smallest rows.  `row_score(x, d, threshold)` scores one row with the
-/// scorer's kernel and may stop early — returning any value strictly
+/// Bytes of rows in one tile of the batched scan: small enough that a
+/// tile stays in L2 while every query of the batch scores it.
+constexpr size_t kTileBytes = 512 * 1024;
+
+/// The one filter scan loop: a streaming pass over `n` rows keeping the
+/// p smallest for each of `m` queries.  Query j's lane, built by
+/// `make_lane(j)`, is called as lane(i, threshold): it scores row i with
+/// the scorer's kernel and may stop early — returning any value strictly
 /// greater than `threshold` — once its running partial sum provably
 /// exceeds it.  Partial sums are monotone non-decreasing (non-negative
 /// terms), so an abandoned row's true score also exceeds the threshold
-/// and Offer() rejects it; completed rows return scores bit-identical
-/// to Score()'s (the dispatched kernels hold the span kernels' lane
+/// and Offer() rejects it; completed rows return scores bit-identical to
+/// Score()'s (the dispatched kernels hold the span kernels' lane
 /// discipline, see src/distance/simd/kernels.h), and BoundedTopK breaks
 /// ties by row index exactly like SmallestK.
-template <typename RowScoreFn>
-std::vector<ScoredIndex> TopPScan(const EmbeddedDatabase::View& db, size_t p,
-                                  const RowScoreFn& row_score,
-                                  FilterScanStats* scan_stats) {
-  const size_t n = db.size();
-  const size_t d = db.dims();
-  BoundedTopK top(std::min(p, n));
-  size_t pruned = 0;
-  for (size_t i = 0; i < n; ++i) {
-    pruned += !top.Offer({i, row_score(db.row(i), d, top.threshold())});
+///
+/// Rows stream in tiles of kTileBytes / row_bytes rows, each scored by
+/// every query before the next loads.  A query still visits the rows in
+/// ascending order against its own threshold history, so its result is
+/// the same as a scan with that query alone — which a batch of one is.
+template <typename MakeLane>
+std::vector<std::vector<ScoredIndex>> TiledTopP(
+    size_t n, size_t row_bytes, size_t p, size_t m, const MakeLane& make_lane,
+    std::vector<FilterScanStats>* scan_stats) {
+  std::vector<decltype(make_lane(size_t{0}))> lanes;
+  std::vector<BoundedTopK> tops;
+  lanes.reserve(m);
+  tops.reserve(m);
+  for (size_t j = 0; j < m; ++j) {
+    lanes.push_back(make_lane(j));
+    tops.emplace_back(std::min(p, n));
   }
-  if (scan_stats != nullptr) *scan_stats = FilterScanStats{n, pruned};
-  return top.TakeSortedAscending();
+  std::vector<size_t> pruned(m, 0);
+  const size_t tile_rows = std::max<size_t>(1, kTileBytes / row_bytes);
+  for (size_t begin = 0; begin < n; begin += tile_rows) {
+    const size_t end = std::min(n, begin + tile_rows);
+    for (size_t j = 0; j < m; ++j) {
+      BoundedTopK& top = tops[j];
+      auto& lane = lanes[j];
+      size_t tile_pruned = 0;
+      for (size_t i = begin; i < end; ++i) {
+        tile_pruned += !top.Offer({i, lane(i, top.threshold())});
+      }
+      pruned[j] += tile_pruned;
+    }
+  }
+  std::vector<std::vector<ScoredIndex>> best(m);
+  if (scan_stats != nullptr) scan_stats->resize(m);
+  for (size_t j = 0; j < m; ++j) {
+    best[j] = tops[j].TakeSortedAscending();
+    if (scan_stats != nullptr) (*scan_stats)[j] = {n, pruned[j]};
+  }
+  return best;
 }
 
-/// The reduced-precision counterpart: `row_score(i, widened)` scans a
-/// shadow row against the threshold already widened by the quantization
-/// error envelope, so abandonment stays sound relative to the exact
-/// scores (see ScoreTopP's contract in the header).
-template <typename RowScoreFn>
-std::vector<ScoredIndex> TopPScanReduced(const EmbeddedDatabase::View& db,
-                                         size_t p,
-                                         const ReducedPrecisionBound& bound,
-                                         const RowScoreFn& row_score,
-                                         FilterScanStats* scan_stats) {
-  const size_t n = db.size();
-  BoundedTopK top(std::min(p, n));
-  size_t pruned = 0;
-  // Widening costs a divide; the threshold only moves when an Offer is
-  // accepted (at most p times once the heap is warm), so cache the
-  // widened value until it does.  +inf != +inf is false, so the initial
-  // unbounded threshold takes the cached path too.
-  double cached_threshold = top.threshold();
-  float widened =
-      FloatAtLeast(WidenedAbandonThreshold(cached_threshold, bound));
-  for (size_t i = 0; i < n; ++i) {
-    double t = top.threshold();
-    if (t != cached_threshold) {
-      cached_threshold = t;
-      widened = FloatAtLeast(WidenedAbandonThreshold(t, bound));
+/// A reduced-precision lane: `score(i, widened)` scans a shadow row
+/// against the threshold widened by the query's quantization error
+/// envelope, so abandonment stays sound relative to the exact scores
+/// (see ScoreTopP's contract in the header).  Widening costs a divide;
+/// the threshold only moves when an Offer is accepted (at most p times
+/// once the heap is warm), so the widened value is cached until it
+/// does.  +inf != +inf is false, so the initial unbounded threshold
+/// takes the cached path too.
+template <typename ShadowScoreFn>
+class WidenedLane {
+ public:
+  WidenedLane(const ReducedPrecisionBound& bound, ShadowScoreFn score)
+      : bound_(bound),
+        score_(std::move(score)),
+        threshold_(std::numeric_limits<double>::infinity()),
+        widened_(FloatAtLeast(WidenedAbandonThreshold(threshold_, bound_))) {}
+
+  double operator()(size_t i, double threshold) {
+    if (threshold != threshold_) {
+      threshold_ = threshold;
+      widened_ = FloatAtLeast(WidenedAbandonThreshold(threshold, bound_));
     }
-    pruned += !top.Offer({i, static_cast<double>(row_score(i, widened))});
+    return static_cast<double>(score_(i, widened_));
   }
-  if (scan_stats != nullptr) *scan_stats = FilterScanStats{n, pruned};
-  return top.TakeSortedAscending();
-}
+
+ private:
+  ReducedPrecisionBound bound_;
+  ShadowScoreFn score_;
+  double threshold_;
+  float widened_;
+};
 
 /// int8 shadow rows are only d bytes — a few cachelines — and the scan
 /// touches just one or two of them before abandoning most rows, too
@@ -77,8 +109,10 @@ std::vector<ScoredIndex> TopPScanReduced(const EmbeddedDatabase::View& db,
 /// help).
 constexpr size_t kI8PrefetchRowsAhead = 8;
 
-inline void PrefetchI8Row(const int8_t* row, size_t d) {
-  for (size_t b = 0; b < d; b += 64) {
+inline void PrefetchI8Ahead(const EmbeddedDatabase::View& db, size_t i) {
+  if (i + kI8PrefetchRowsAhead >= db.size()) return;
+  const int8_t* row = db.row_i8(i + kI8PrefetchRowsAhead);
+  for (size_t b = 0; b < db.dims(); b += 64) {
     __builtin_prefetch(row + b, /*rw=*/0, /*locality=*/0);
   }
 }
@@ -96,6 +130,34 @@ std::vector<int8_t> QuantizeQuery(const double* q, const float* scales,
   return out;
 }
 
+/// The precision dispatch the three scorers share: checks that the view
+/// carries the matrix `precision` scans, builds query j's lane with
+/// `exact(j)`, `f32(j)` or `i8(j)` (float64 rows, float32 shadow, int8
+/// shadow), and runs the tiled scan over `m` queries.
+template <typename ExactLane, typename F32Lane, typename I8Lane>
+std::vector<std::vector<ScoredIndex>> TiledTopPAt(
+    const EmbeddedDatabase::View& db, size_t m, size_t p,
+    FilterPrecision precision, const ExactLane& exact, const F32Lane& f32,
+    const I8Lane& i8, std::vector<FilterScanStats>* scan_stats) {
+  const size_t n = db.size();
+  const size_t d = db.dims();
+  if (precision == FilterPrecision::kFilter32) {
+    QSE_CHECK_MSG(db.has_f32(), "kFilter32 scan on a view without a float32 "
+                                "shadow (EnableFilterShadows)");
+    return TiledTopP(n, d * sizeof(float), p, m, f32, scan_stats);
+  }
+  if (precision == FilterPrecision::kFilter8) {
+    QSE_CHECK_MSG(db.has_i8(), "kFilter8 scan on a view without an int8 "
+                               "shadow (EnableFilterShadows)");
+    return TiledTopP(n, d * sizeof(int8_t), p, m, i8, scan_stats);
+  }
+  return TiledTopP(n, d * sizeof(double), p, m, exact, scan_stats);
+}
+
+void CheckQueryDims(const std::vector<Vector>& queries, size_t d) {
+  for (const Vector& q : queries) QSE_CHECK(q.size() == d);
+}
+
 }  // namespace
 
 std::vector<ScoredIndex> FilterScorer::ScoreTopP(
@@ -111,6 +173,33 @@ std::vector<ScoredIndex> FilterScorer::ScoreTopP(
     *scan_stats = FilterScanStats{db.size(), db.size() - best.size()};
   }
   return best;
+}
+
+std::vector<std::vector<ScoredIndex>> FilterScorer::ScoreTopPBatch(
+    const std::vector<Vector>& embedded_queries,
+    const EmbeddedDatabase::View& db, size_t p, FilterPrecision precision,
+    std::vector<FilterScanStats>* scan_stats) const {
+  const size_t m = embedded_queries.size();
+  std::vector<std::vector<ScoredIndex>> best;
+  best.reserve(m);
+  if (scan_stats != nullptr) scan_stats->resize(m);
+  for (size_t j = 0; j < m; ++j) {
+    best.push_back(ScoreTopP(embedded_queries[j], db, p, precision,
+                             scan_stats != nullptr ? &(*scan_stats)[j]
+                                                   : nullptr));
+  }
+  return best;
+}
+
+std::vector<ScoredIndex> FilterScorer::ScoreTopPAsBatch(
+    const Vector& embedded_query, const EmbeddedDatabase::View& db, size_t p,
+    FilterPrecision precision, FilterScanStats* scan_stats) const {
+  std::vector<FilterScanStats> stats;
+  std::vector<std::vector<ScoredIndex>> best =
+      ScoreTopPBatch({embedded_query}, db, p, precision,
+                     scan_stats != nullptr ? &stats : nullptr);
+  if (scan_stats != nullptr) *scan_stats = stats[0];
+  return std::move(best[0]);
 }
 
 void QuerySensitiveScorer::ScoreWithWeights(const Vector& weights,
@@ -136,66 +225,92 @@ void QuerySensitiveScorer::Score(const Vector& embedded_query,
 std::vector<ScoredIndex> QuerySensitiveScorer::ScoreTopP(
     const Vector& embedded_query, const EmbeddedDatabase::View& db, size_t p,
     FilterPrecision precision, FilterScanStats* scan_stats) const {
-  Vector weights = model_->QueryWeights(embedded_query);
+  return ScoreTopPAsBatch(embedded_query, db, p, precision, scan_stats);
+}
+
+std::vector<std::vector<ScoredIndex>> QuerySensitiveScorer::ScoreTopPBatch(
+    const std::vector<Vector>& embedded_queries,
+    const EmbeddedDatabase::View& db, size_t p, FilterPrecision precision,
+    std::vector<FilterScanStats>* scan_stats) const {
+  const size_t m = embedded_queries.size();
   const size_t d = db.dims();
-  QSE_CHECK(embedded_query.size() == d);
+  std::vector<std::vector<ScoredIndex>> best(m);
+  std::vector<FilterScanStats> stats(m);
   // A_i(q) sums AdaBoost alphas, which MinimizeZ may in principle drive
   // negative; early abandon (and the reduced-precision envelopes) are
-  // only sound for non-negative terms, so verify once per query and
-  // fall back to the unpruned exact scan otherwise.
-  bool nonnegative = true;
-  for (double w : weights) {
-    if (w < 0.0) {
-      nonnegative = false;
-      break;
+  // only sound for non-negative terms, so verify once per query.  A
+  // query with a negative weight takes the unpruned exact scan on its
+  // own; the rest share the tiled pass.
+  std::vector<Vector> weights(m);
+  std::vector<size_t> tiled;
+  for (size_t j = 0; j < m; ++j) {
+    const Vector& query = embedded_queries[j];
+    weights[j] = model_->QueryWeights(query);
+    QSE_CHECK(query.size() == d);
+    if (std::all_of(weights[j].begin(), weights[j].end(),
+                    [](double w) { return w >= 0.0; })) {
+      tiled.push_back(j);
+      continue;
     }
-  }
-  if (!nonnegative) {
-    // Unpruned fallback, reusing the weights computed above instead of
-    // paying a second A_i(q) evaluation inside Score().
+    // Reuses the weights computed above instead of paying a second
+    // A_i(q) evaluation inside Score().
     std::vector<double> scores;
-    ScoreWithWeights(weights, embedded_query, db, &scores);
-    std::vector<ScoredIndex> best = SmallestK(scores, p);
-    if (scan_stats != nullptr) {
-      *scan_stats = FilterScanStats{db.size(), db.size() - best.size()};
+    ScoreWithWeights(weights[j], query, db, &scores);
+    best[j] = SmallestK(scores, p);
+    stats[j] = FilterScanStats{db.size(), db.size() - best[j].size()};
+  }
+  if (!tiled.empty()) {
+    const simd::KernelTable* k = simd::ActiveKernels();
+    auto query_of = [&](size_t t) { return embedded_queries[tiled[t]].data(); };
+    auto weights_of = [&](size_t t) { return weights[tiled[t]].data(); };
+    std::vector<FilterScanStats> tiled_stats;
+    std::vector<std::vector<ScoredIndex>> tiled_best = TiledTopPAt(
+        db, tiled.size(), p, precision,
+        [&](size_t t) {
+          return [q = query_of(t), w = weights_of(t), k, &db, d](
+                     size_t i, double threshold) {
+            return k->wl1_f64(q, db.row(i), w, d, threshold);
+          };
+        },
+        [&](size_t t) {
+          const double* q = query_of(t);
+          const double* w = weights_of(t);
+          return WidenedLane(
+              F32BoundWeightedL1(w, q, d),
+              [qf = ToFloat(q, d), wf = ToFloat(w, d), k, &db, d](
+                  size_t i, float widened) {
+                return k->wl1_f32(qf.data(), db.row_f32(i), wf.data(), d,
+                                  widened);
+              });
+        },
+        [&](size_t t) {
+          const double* q = query_of(t);
+          const double* w = weights_of(t);
+          const float* s = db.i8_scales();
+          std::vector<int8_t> qq = QuantizeQuery(q, s, d);
+          // Coefficients fold weight and dequantization scale: the
+          // kernel's c_j * |qq_j - rq_j| then approximates
+          // w_j * |q_j - r_j|.
+          std::vector<float> c(d);
+          for (size_t j = 0; j < d; ++j) {
+            c[j] = static_cast<float>(w[j] * static_cast<double>(s[j]));
+          }
+          ReducedPrecisionBound bound =
+              I8BoundWeightedL1(w, q, qq.data(), s, d);
+          return WidenedLane(bound, [qq = std::move(qq), c = std::move(c), k,
+                                     &db, d](size_t i, float widened) {
+            PrefetchI8Ahead(db, i);
+            return k->wl1_i8(qq.data(), db.row_i8(i), c.data(), d, widened);
+          });
+        },
+        &tiled_stats);
+    for (size_t t = 0; t < tiled.size(); ++t) {
+      best[tiled[t]] = std::move(tiled_best[t]);
+      stats[tiled[t]] = tiled_stats[t];
     }
-    return best;
   }
-  const double* q = embedded_query.data();
-  const double* w = weights.data();
-  const simd::KernelTable* k = simd::ActiveKernels();
-  if (precision == FilterPrecision::kFilter32) {
-    QSE_CHECK_MSG(db.has_f32(), "kFilter32 scan on a view without a float32 "
-                                "shadow (EnableFilterShadows)");
-    std::vector<float> qf = ToFloat(q, d);
-    std::vector<float> wf = ToFloat(w, d);
-    ReducedPrecisionBound bound = F32BoundWeightedL1(w, q, d);
-    return TopPScanReduced(db, p, bound, [&](size_t i, float widened) {
-      return k->wl1_f32(qf.data(), db.row_f32(i), wf.data(), d, widened);
-    }, scan_stats);
-  }
-  if (precision == FilterPrecision::kFilter8) {
-    QSE_CHECK_MSG(db.has_i8(), "kFilter8 scan on a view without an int8 "
-                               "shadow (EnableFilterShadows)");
-    const float* s = db.i8_scales();
-    std::vector<int8_t> qq = QuantizeQuery(q, s, d);
-    // Coefficients fold weight and dequantization scale: the kernel's
-    // c_j * |qq_j - rq_j| then approximates w_j * |q_j - r_j|.
-    std::vector<float> c(d);
-    for (size_t j = 0; j < d; ++j) {
-      c[j] = static_cast<float>(w[j] * static_cast<double>(s[j]));
-    }
-    ReducedPrecisionBound bound = I8BoundWeightedL1(w, q, qq.data(), s, d);
-    return TopPScanReduced(db, p, bound, [&](size_t i, float widened) {
-      if (i + kI8PrefetchRowsAhead < db.size()) {
-        PrefetchI8Row(db.row_i8(i + kI8PrefetchRowsAhead), d);
-      }
-      return k->wl1_i8(qq.data(), db.row_i8(i), c.data(), d, widened);
-    }, scan_stats);
-  }
-  return TopPScan(db, p, [q, w, k](const double* x, size_t dd, double t) {
-    return k->wl1_f64(q, x, w, dd, t);
-  }, scan_stats);
+  if (scan_stats != nullptr) *scan_stats = std::move(stats);
+  return best;
 }
 
 void L2Scorer::Score(const Vector& embedded_query,
@@ -215,42 +330,52 @@ std::vector<ScoredIndex> L2Scorer::ScoreTopP(const Vector& embedded_query,
                                              FilterPrecision precision,
                                              FilterScanStats* scan_stats)
     const {
+  return ScoreTopPAsBatch(embedded_query, db, p, precision, scan_stats);
+}
+
+std::vector<std::vector<ScoredIndex>> L2Scorer::ScoreTopPBatch(
+    const std::vector<Vector>& embedded_queries,
+    const EmbeddedDatabase::View& db, size_t p, FilterPrecision precision,
+    std::vector<FilterScanStats>* scan_stats) const {
   const size_t d = db.dims();
-  QSE_CHECK(embedded_query.size() == d);
-  const double* q = embedded_query.data();
+  CheckQueryDims(embedded_queries, d);
   const simd::KernelTable* k = simd::ActiveKernels();
-  if (precision == FilterPrecision::kFilter32) {
-    QSE_CHECK_MSG(db.has_f32(), "kFilter32 scan on a view without a float32 "
-                                "shadow (EnableFilterShadows)");
-    std::vector<float> qf = ToFloat(q, d);
-    ReducedPrecisionBound bound = F32BoundSquaredL2(q, d);
-    return TopPScanReduced(db, p, bound, [&](size_t i, float widened) {
-      return k->l2_f32(qf.data(), db.row_f32(i), d, widened);
-    }, scan_stats);
-  }
-  if (precision == FilterPrecision::kFilter8) {
-    QSE_CHECK_MSG(db.has_i8(), "kFilter8 scan on a view without an int8 "
-                               "shadow (EnableFilterShadows)");
-    const float* s = db.i8_scales();
-    std::vector<int8_t> qq = QuantizeQuery(q, s, d);
-    // c_j = s_j^2 turns the kernel's (c_j * fd) * fd into
-    // (s_j * (qq_j - rq_j))^2, the quantized squared difference.
-    std::vector<float> c(d);
-    for (size_t j = 0; j < d; ++j) {
-      double sd = static_cast<double>(s[j]);
-      c[j] = static_cast<float>(sd * sd);
-    }
-    ReducedPrecisionBound bound = I8BoundSquaredL2(q, qq.data(), s, d);
-    return TopPScanReduced(db, p, bound, [&](size_t i, float widened) {
-      if (i + kI8PrefetchRowsAhead < db.size()) {
-        PrefetchI8Row(db.row_i8(i + kI8PrefetchRowsAhead), d);
-      }
-      return k->wl2_i8(qq.data(), db.row_i8(i), c.data(), d, widened);
-    }, scan_stats);
-  }
-  return TopPScan(db, p, [q, k](const double* x, size_t dd, double t) {
-    return k->l2_f64(q, x, dd, t);
-  }, scan_stats);
+  return TiledTopPAt(
+      db, embedded_queries.size(), p, precision,
+      [&](size_t j) {
+        return [q = embedded_queries[j].data(), k, &db, d](size_t i,
+                                                           double threshold) {
+          return k->l2_f64(q, db.row(i), d, threshold);
+        };
+      },
+      [&](size_t j) {
+        const double* q = embedded_queries[j].data();
+        return WidenedLane(F32BoundSquaredL2(q, d),
+                           [qf = ToFloat(q, d), k, &db, d](size_t i,
+                                                           float widened) {
+                             return k->l2_f32(qf.data(), db.row_f32(i), d,
+                                              widened);
+                           });
+      },
+      [&](size_t j) {
+        const double* q = embedded_queries[j].data();
+        const float* s = db.i8_scales();
+        std::vector<int8_t> qq = QuantizeQuery(q, s, d);
+        // c_j = s_j^2 turns the kernel's (c_j * fd) * fd into
+        // (s_j * (qq_j - rq_j))^2, the quantized squared difference.
+        std::vector<float> c(d);
+        for (size_t jj = 0; jj < d; ++jj) {
+          double sd = static_cast<double>(s[jj]);
+          c[jj] = static_cast<float>(sd * sd);
+        }
+        ReducedPrecisionBound bound = I8BoundSquaredL2(q, qq.data(), s, d);
+        return WidenedLane(bound, [qq = std::move(qq), c = std::move(c), k,
+                                   &db, d](size_t i, float widened) {
+          PrefetchI8Ahead(db, i);
+          return k->wl2_i8(qq.data(), db.row_i8(i), c.data(), d, widened);
+        });
+      },
+      scan_stats);
 }
 
 void L1Scorer::Score(const Vector& embedded_query,
@@ -270,36 +395,46 @@ std::vector<ScoredIndex> L1Scorer::ScoreTopP(const Vector& embedded_query,
                                              FilterPrecision precision,
                                              FilterScanStats* scan_stats)
     const {
+  return ScoreTopPAsBatch(embedded_query, db, p, precision, scan_stats);
+}
+
+std::vector<std::vector<ScoredIndex>> L1Scorer::ScoreTopPBatch(
+    const std::vector<Vector>& embedded_queries,
+    const EmbeddedDatabase::View& db, size_t p, FilterPrecision precision,
+    std::vector<FilterScanStats>* scan_stats) const {
   const size_t d = db.dims();
-  QSE_CHECK(embedded_query.size() == d);
-  const double* q = embedded_query.data();
+  CheckQueryDims(embedded_queries, d);
   const simd::KernelTable* k = simd::ActiveKernels();
-  if (precision == FilterPrecision::kFilter32) {
-    QSE_CHECK_MSG(db.has_f32(), "kFilter32 scan on a view without a float32 "
-                                "shadow (EnableFilterShadows)");
-    std::vector<float> qf = ToFloat(q, d);
-    ReducedPrecisionBound bound = F32BoundWeightedL1(nullptr, q, d);
-    return TopPScanReduced(db, p, bound, [&](size_t i, float widened) {
-      return k->l1_f32(qf.data(), db.row_f32(i), d, widened);
-    }, scan_stats);
-  }
-  if (precision == FilterPrecision::kFilter8) {
-    QSE_CHECK_MSG(db.has_i8(), "kFilter8 scan on a view without an int8 "
-                               "shadow (EnableFilterShadows)");
-    const float* s = db.i8_scales();
-    std::vector<int8_t> qq = QuantizeQuery(q, s, d);
-    ReducedPrecisionBound bound =
-        I8BoundWeightedL1(nullptr, q, qq.data(), s, d);
-    return TopPScanReduced(db, p, bound, [&](size_t i, float widened) {
-      if (i + kI8PrefetchRowsAhead < db.size()) {
-        PrefetchI8Row(db.row_i8(i + kI8PrefetchRowsAhead), d);
-      }
-      return k->wl1_i8(qq.data(), db.row_i8(i), s, d, widened);
-    }, scan_stats);
-  }
-  return TopPScan(db, p, [q, k](const double* x, size_t dd, double t) {
-    return k->l1_f64(q, x, dd, t);
-  }, scan_stats);
+  return TiledTopPAt(
+      db, embedded_queries.size(), p, precision,
+      [&](size_t j) {
+        return [q = embedded_queries[j].data(), k, &db, d](size_t i,
+                                                           double threshold) {
+          return k->l1_f64(q, db.row(i), d, threshold);
+        };
+      },
+      [&](size_t j) {
+        const double* q = embedded_queries[j].data();
+        return WidenedLane(F32BoundWeightedL1(nullptr, q, d),
+                           [qf = ToFloat(q, d), k, &db, d](size_t i,
+                                                           float widened) {
+                             return k->l1_f32(qf.data(), db.row_f32(i), d,
+                                              widened);
+                           });
+      },
+      [&](size_t j) {
+        const double* q = embedded_queries[j].data();
+        const float* s = db.i8_scales();
+        std::vector<int8_t> qq = QuantizeQuery(q, s, d);
+        ReducedPrecisionBound bound =
+            I8BoundWeightedL1(nullptr, q, qq.data(), s, d);
+        return WidenedLane(bound, [qq = std::move(qq), s, k, &db, d](
+                                      size_t i, float widened) {
+          PrefetchI8Ahead(db, i);
+          return k->wl1_i8(qq.data(), db.row_i8(i), s, d, widened);
+        });
+      },
+      scan_stats);
 }
 
 }  // namespace qse

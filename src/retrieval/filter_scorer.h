@@ -70,6 +70,35 @@ class FilterScorer {
       const Vector& embedded_query, const EmbeddedDatabase::View& db,
       size_t p, FilterPrecision precision = FilterPrecision::kExact64,
       FilterScanStats* scan_stats = nullptr) const;
+
+  /// ScoreTopP for a batch of queries in ONE pass over the view: rows
+  /// stream in tiles of about 512 KB, and every query of the batch scores
+  /// a tile while it is still in cache, so a bandwidth-bound matrix
+  /// crosses the memory bus once per batch instead of once per query.
+  /// Each query keeps its own top-p heap and abandon threshold and sees
+  /// the rows in the same order through the same kernel, so results[i]
+  /// and (*scan_stats)[i] are bit-identical to ScoreTopP(
+  /// embedded_queries[i], ...).  `scan_stats`, when non-null, is resized
+  /// to the batch.
+  ///
+  /// The base implementation loops ScoreTopP (one pass per query); the
+  /// scorers below override it with the tiled scan and serve ScoreTopP
+  /// as a batch of one.
+  virtual std::vector<std::vector<ScoredIndex>> ScoreTopPBatch(
+      const std::vector<Vector>& embedded_queries,
+      const EmbeddedDatabase::View& db, size_t p,
+      FilterPrecision precision = FilterPrecision::kExact64,
+      std::vector<FilterScanStats>* scan_stats = nullptr) const;
+
+ protected:
+  /// ScoreTopP through ScoreTopPBatch with one query — the single scan
+  /// loop of a scorer that overrides ScoreTopPBatch (one that does not
+  /// would recurse through the base ScoreTopPBatch).
+  std::vector<ScoredIndex> ScoreTopPAsBatch(const Vector& embedded_query,
+                                            const EmbeddedDatabase::View& db,
+                                            size_t p,
+                                            FilterPrecision precision,
+                                            FilterScanStats* scan_stats) const;
 };
 
 /// Weighted-L1 scorer with query-sensitive weights A_i(q) from a model
@@ -84,6 +113,11 @@ class QuerySensitiveScorer : public FilterScorer {
       const Vector& embedded_query, const EmbeddedDatabase::View& db,
       size_t p, FilterPrecision precision = FilterPrecision::kExact64,
       FilterScanStats* scan_stats = nullptr) const override;
+  std::vector<std::vector<ScoredIndex>> ScoreTopPBatch(
+      const std::vector<Vector>& embedded_queries,
+      const EmbeddedDatabase::View& db, size_t p,
+      FilterPrecision precision = FilterPrecision::kExact64,
+      std::vector<FilterScanStats>* scan_stats = nullptr) const override;
 
  private:
   /// The scan with A_i(q) already evaluated; both public entry points
@@ -106,6 +140,11 @@ class L2Scorer : public FilterScorer {
       const Vector& embedded_query, const EmbeddedDatabase::View& db,
       size_t p, FilterPrecision precision = FilterPrecision::kExact64,
       FilterScanStats* scan_stats = nullptr) const override;
+  std::vector<std::vector<ScoredIndex>> ScoreTopPBatch(
+      const std::vector<Vector>& embedded_queries,
+      const EmbeddedDatabase::View& db, size_t p,
+      FilterPrecision precision = FilterPrecision::kExact64,
+      std::vector<FilterScanStats>* scan_stats = nullptr) const override;
 };
 
 /// Unweighted L1 scorer (Lipschitz embeddings).
@@ -117,6 +156,11 @@ class L1Scorer : public FilterScorer {
       const Vector& embedded_query, const EmbeddedDatabase::View& db,
       size_t p, FilterPrecision precision = FilterPrecision::kExact64,
       FilterScanStats* scan_stats = nullptr) const override;
+  std::vector<std::vector<ScoredIndex>> ScoreTopPBatch(
+      const std::vector<Vector>& embedded_queries,
+      const EmbeddedDatabase::View& db, size_t p,
+      FilterPrecision precision = FilterPrecision::kExact64,
+      std::vector<FilterScanStats>* scan_stats = nullptr) const override;
 };
 
 }  // namespace qse

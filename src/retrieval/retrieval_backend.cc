@@ -1,6 +1,7 @@
 #include "src/retrieval/retrieval_backend.h"
 
 #include <mutex>
+#include <utility>
 
 #include "src/util/parallel.h"
 
@@ -42,16 +43,6 @@ Status ValidateRetrievalOptions(const RetrievalOptions& options) {
 StatusOr<std::vector<RetrievalResponse>> RetrievalBackend::RetrieveBatch(
     const std::vector<DxToDatabaseFn>& queries,
     const RetrievalOptions& options) const {
-  return RetrieveEach(queries, options, [&](const DxToDatabaseFn& dx) {
-    return Retrieve({dx, options, /*trace=*/nullptr});
-  });
-}
-
-StatusOr<std::vector<RetrievalResponse>> RetrievalBackend::RetrieveEach(
-    const std::vector<DxToDatabaseFn>& queries,
-    const RetrievalOptions& options,
-    const std::function<StatusOr<RetrievalResponse>(const DxToDatabaseFn&)>&
-        retrieve_one) {
   // Validate once up front so a bad parameter fails the whole batch
   // instead of every entry failing identically in parallel.
   QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
@@ -63,7 +54,8 @@ StatusOr<std::vector<RetrievalResponse>> RetrievalBackend::RetrieveEach(
   ParallelForGrain(
       0, queries.size(), 2,
       [&](size_t i) {
-        StatusOr<RetrievalResponse> r = retrieve_one(queries[i]);
+        StatusOr<RetrievalResponse> r =
+            Retrieve({queries[i], options, /*trace=*/nullptr});
         if (!r.ok()) {
           std::lock_guard<std::mutex> lock(error_mu);
           if (first_error.ok()) first_error = r.status();
@@ -73,6 +65,20 @@ StatusOr<std::vector<RetrievalResponse>> RetrievalBackend::RetrieveEach(
       },
       options.num_threads);
   QSE_RETURN_IF_ERROR(first_error);
+  return results;
+}
+
+StatusOr<std::vector<ScanCandidatesResult>>
+RetrievalBackend::ScanCandidatesBatch(
+    const std::vector<Vector>& embedded_queries,
+    const RetrievalOptions& options) const {
+  std::vector<ScanCandidatesResult> results;
+  results.reserve(embedded_queries.size());
+  for (const Vector& query : embedded_queries) {
+    StatusOr<ScanCandidatesResult> r = ScanCandidates(query, options);
+    QSE_RETURN_IF_ERROR(r.status());
+    results.push_back(std::move(r).value());
+  }
   return results;
 }
 

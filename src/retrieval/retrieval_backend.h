@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,8 +53,13 @@ struct RetrievalOptions {
   size_t k = 1;
   /// Filter candidates to refine with exact distances; the paper's p.
   size_t p = 1;
-  /// Threads for RetrieveBatch's across-query fan-out; 0 means hardware
-  /// concurrency.  Ignored by single-query Retrieve.  The async server
+  /// Threads T for RetrieveBatch; 0 means hardware concurrency.  Ignored
+  /// by single-query Retrieve.  A batch runs in three phases — embed
+  /// every query, scan every source once for the whole batch, merge and
+  /// refine every query — and the scan phase's parallel work items are
+  /// (source, query group): with S >= T sources each source is one item
+  /// scanning all queries, with S < T each source's queries split into
+  /// ceil(T / S) groups so no thread idles.  The async server
   /// substitutes its own retrieve_threads policy: a request does not get
   /// to choose the server's parallelism.
   size_t num_threads = 0;
@@ -87,9 +91,10 @@ struct RetrievalOptions {
   /// the same pinned snapshot the response was served from.  The async
   /// server attaches its configured monitor here; direct engine callers
   /// may set it themselves.  Borrowed: must outlive the request.
-  /// On a ScanCandidates call it means "this request is being audited":
-  /// the retrieval pipeline passes it only for sampled requests, and a
-  /// local backend then hands its pinned snapshot back in the result.
+  /// On a ScanCandidates(Batch) call it means "a request of this scan is
+  /// being audited": the retrieval pipeline passes it only for batches
+  /// holding a sampled request, and a local backend then hands its
+  /// pinned snapshot back in the results.
   obs::QualityMonitor* audit_monitor = nullptr;
 
   RetrievalOptions() = default;
@@ -222,7 +227,9 @@ class RetrievalBackend {
 
   /// Retrieves a batch of queries sharing one options envelope, in
   /// parallel across options.num_threads workers; results[i] corresponds
-  /// to queries[i].  Default: Retrieve per query through RetrieveEach.
+  /// to queries[i], and the first error fails the batch (a concurrent
+  /// mutation stream can still empty the database mid-batch).  Default:
+  /// Retrieve per query, for backends with no pipeline of their own.
   virtual StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
       const std::vector<DxToDatabaseFn>& queries,
       const RetrievalOptions& options) const;
@@ -251,6 +258,18 @@ class RetrievalBackend {
         "this backend does not serve filter-only candidate scans");
   }
 
+  /// ScanCandidates for a batch of embedded queries sharing `options`:
+  /// results[i] is ScanCandidates(embedded_queries[i], options), and the
+  /// first error fails the batch.  A local engine answers from one
+  /// pinned snapshot in one pass over its rows (FilterScorer::
+  /// ScoreTopPBatch) and, when `options.audit_monitor` is set, hands
+  /// that one snapshot back in every result.  Default: ScanCandidates
+  /// per query, for backends whose rows are not local (remote stubs,
+  /// replica sets).
+  virtual StatusOr<std::vector<ScanCandidatesResult>> ScanCandidatesBatch(
+      const std::vector<Vector>& embedded_queries,
+      const RetrievalOptions& options) const;
+
   /// Adds an object whose embedding was already computed (the remote
   /// path: the client embeds with its own `dx`, the row crosses the wire
   /// pre-embedded).  Same duplicate-id contract as Insert; the row must
@@ -270,18 +289,6 @@ class RetrievalBackend {
   virtual size_t db_id_of(size_t neighbor_index) const {
     return neighbor_index;
   }
-
- protected:
-  /// The one RetrieveBatch loop: validates `options` once, runs
-  /// `retrieve_one` for every query in parallel across
-  /// options.num_threads workers, and fails the batch with the first
-  /// error (a concurrent mutation stream can still empty the database
-  /// mid-batch).
-  static StatusOr<std::vector<RetrievalResponse>> RetrieveEach(
-      const std::vector<DxToDatabaseFn>& queries,
-      const RetrievalOptions& options,
-      const std::function<StatusOr<RetrievalResponse>(const DxToDatabaseFn&)>&
-          retrieve_one);
 };
 
 }  // namespace qse

@@ -1,6 +1,8 @@
 #include "src/retrieval/retrieval_engine.h"
 
 #include <algorithm>
+#include <memory>
+#include <utility>
 
 #include "src/util/logging.h"
 #include "src/util/timer.h"
@@ -18,7 +20,10 @@ RetrievalEngine::RetrievalEngine(const Embedder* embedder,
       filter_rows_pruned_total_(obs::MetricRegistry::Global().GetCounter(
           "qse_engine_filter_rows_pruned_total")),
       filter_ns_(obs::MetricRegistry::Global().GetHistogram(
-          "qse_engine_filter_latency_ns", obs::DefaultLatencyBoundariesNs())) {
+          "qse_engine_filter_latency_ns", obs::DefaultLatencyBoundariesNs())),
+      filter_batch_queries_(obs::MetricRegistry::Global().GetHistogram(
+          "qse_engine_filter_batch_queries",
+          obs::ExponentialBoundaries(1, 2, 10))) {
   QSE_CHECK(db_->size() == db_ids.size());
   db_->AssignIds(db_ids);
   row_of_.reserve(db_ids.size());
@@ -28,10 +33,10 @@ RetrievalEngine::RetrievalEngine(const Embedder* embedder,
   }
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   pipeline_.embedder = embedder_;
-  pipeline_.scan = [this](size_t, const Vector& embedded_query,
+  pipeline_.scan = [this](size_t, const std::vector<Vector>& embedded_queries,
                           const RetrievalOptions& options,
                           obs::RequestTrace*) {
-    return ScanCandidates(embedded_query, options);
+    return ScanCandidatesBatch(embedded_queries, options);
   };
   pipeline_.known_empty = [this] { return db_->empty(); };
   pipeline_.metrics.retrievals_total =
@@ -50,17 +55,35 @@ StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
                             request.trace);
 }
 
+StatusOr<std::vector<RetrievalResponse>> RetrievalEngine::RetrieveBatch(
+    const std::vector<DxToDatabaseFn>& queries,
+    const RetrievalOptions& options) const {
+  return pipeline_.RetrieveBatch(queries, options);
+}
+
 StatusOr<ScanCandidatesResult> RetrievalEngine::ScanCandidates(
     const Vector& embedded_query, const RetrievalOptions& options) const {
+  StatusOr<std::vector<ScanCandidatesResult>> batch =
+      ScanCandidatesBatch({embedded_query}, options);
+  QSE_RETURN_IF_ERROR(batch.status());
+  return std::move(batch->front());
+}
+
+StatusOr<std::vector<ScanCandidatesResult>>
+RetrievalEngine::ScanCandidatesBatch(
+    const std::vector<Vector>& embedded_queries,
+    const RetrievalOptions& options) const {
   QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  if (embedded_query.size() != db_->dims()) {
-    return Status::InvalidArgument(
-        "embedded query has " + std::to_string(embedded_query.size()) +
-        " dims, database holds " + std::to_string(db_->dims()));
+  for (const Vector& query : embedded_queries) {
+    if (query.size() != db_->dims()) {
+      return Status::InvalidArgument(
+          "embedded query has " + std::to_string(query.size()) +
+          " dims, database holds " + std::to_string(db_->dims()));
+    }
   }
-  // Pin one consistent (rows, ids, count) snapshot for the whole scan:
-  // however many mutations land meanwhile, candidates and their ids come
-  // from the same database state.
+  // Pin one consistent (rows, ids, count) snapshot for the whole pass:
+  // however many mutations land meanwhile, every query's candidates and
+  // their ids come from the same database state.
   EmbeddedDatabase::Snapshot snap = db_->snapshot();
   const EmbeddedDatabase::View& view = snap.view();
   // Reduced-precision scans need the matching shadow matrix in the
@@ -75,34 +98,39 @@ StatusOr<ScanCandidatesResult> RetrievalEngine::ScanCandidates(
         "EnableFilterShadows on it first (a sharded engine's shards: "
         "ShardedEngineOptions::filter_shadows)");
   }
-  ScanCandidatesResult result;
-  result.rows = view.size();
+  std::vector<ScanCandidatesResult> results(embedded_queries.size());
   // Unlike Retrieve, an empty backend is NOT an error here: a scan
   // contributes nothing, and the gathering caller — who can see every
   // shard — decides whether overall emptiness is FailedPrecondition.
-  if (!view.empty()) {
-    FilterScanStats scan_stats;
+  if (!view.empty() && !embedded_queries.empty()) {
+    std::vector<FilterScanStats> scan_stats;
     MonotonicClock::time_point stage_start = MonotonicClock::now();
-    const size_t p = std::min(options.p, view.size());
-    result.candidates = scorer_->ScoreTopP(
-        embedded_query, view, p, options.filter_precision, &scan_stats);
+    std::vector<std::vector<ScoredIndex>> top = scorer_->ScoreTopPBatch(
+        embedded_queries, view, std::min(options.p, view.size()),
+        options.filter_precision, &scan_stats);
     filter_ns_->Record(static_cast<double>(NsSince(stage_start)));
-    filter_rows_visited_total_->Add(scan_stats.rows_visited);
-    filter_rows_pruned_total_->Add(scan_stats.rows_pruned);
-    result.rows_pruned = scan_stats.rows_pruned;
-    // Rows -> database ids through the same snapshot, then re-sort: the
-    // scan's (score, row) tie order need not survive the translation,
-    // and the k-way merge requires (score, id) order.
-    for (ScoredIndex& c : result.candidates) c.index = view.id_of(c.index);
-    std::sort(result.candidates.begin(), result.candidates.end());
+    filter_batch_queries_->Record(static_cast<double>(top.size()));
+    for (size_t i = 0; i < results.size(); ++i) {
+      filter_rows_visited_total_->Add(scan_stats[i].rows_visited);
+      filter_rows_pruned_total_->Add(scan_stats[i].rows_pruned);
+      results[i].rows_pruned = scan_stats[i].rows_pruned;
+      // Rows -> database ids through the same snapshot, then re-sort:
+      // the scan's (score, row) tie order need not survive the
+      // translation, and the k-way merge requires (score, id) order.
+      std::vector<ScoredIndex>& candidates = results[i].candidates;
+      candidates = std::move(top[i]);
+      for (ScoredIndex& c : candidates) c.index = view.id_of(c.index);
+      std::sort(candidates.begin(), candidates.end());
+    }
   }
+  for (ScanCandidatesResult& result : results) result.rows = view.size();
   // A sampled request's audit re-scans this very snapshot.  Moving a
   // Snapshot moves its pin, not the View the scan read.
   if (options.audit_monitor != nullptr) {
-    result.pinned =
-        std::make_shared<EmbeddedDatabase::Snapshot>(std::move(snap));
+    auto pinned = std::make_shared<EmbeddedDatabase::Snapshot>(std::move(snap));
+    for (ScanCandidatesResult& result : results) result.pinned = pinned;
   }
-  return result;
+  return results;
 }
 
 Status RetrievalEngine::InsertEmbedded(size_t db_id,

@@ -53,6 +53,13 @@ class RetrievalEngine : public RetrievalBackend {
   StatusOr<RetrievalResponse> Retrieve(
       const RetrievalRequest& request) const override;
 
+  /// The pipeline over a batch: one pass over the rows per query group
+  /// (see RetrievalOptions::num_threads); results[i] is bit-identical to
+  /// Retrieve({queries[i], options}).
+  StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
+      const std::vector<DxToDatabaseFn>& queries,
+      const RetrievalOptions& options) const override;
+
   /// Embeds a new object (<= 2d exact distances via `dx`) and appends it
   /// to the database under `db_id`.  Fails with InvalidArgument when the
   /// id is already present.  Safe concurrently with retrievals.
@@ -64,13 +71,20 @@ class RetrievalEngine : public RetrievalBackend {
   /// ids.  Safe concurrently with retrievals.
   Status Remove(size_t db_id) override;
 
-  /// Filter-only scan over one pinned snapshot; candidates carry
-  /// database ids in (score, id) order — the same list a shard of the
-  /// sharded engine contributes to its merge, so a RetrievalServer
-  /// wrapping this engine is a drop-in remote shard.  With
-  /// options.audit_monitor set the snapshot is handed back in `pinned`.
+  /// The batch of one through ScanCandidatesBatch.
   StatusOr<ScanCandidatesResult> ScanCandidates(
       const Vector& embedded_query,
+      const RetrievalOptions& options) const override;
+
+  /// Filter-only scan of a batch over one pinned snapshot, in one tiled
+  /// pass over its rows (FilterScorer::ScoreTopPBatch); candidates carry
+  /// database ids in (score, id) order — the same lists a shard of the
+  /// sharded engine contributes to its merge, so a RetrievalServer
+  /// wrapping this engine is a drop-in remote shard.  With
+  /// options.audit_monitor set the snapshot is handed back in every
+  /// result's `pinned`.
+  StatusOr<std::vector<ScanCandidatesResult>> ScanCandidatesBatch(
+      const std::vector<Vector>& embedded_queries,
       const RetrievalOptions& options) const override;
 
   /// Appends an already-embedded row (the remote Insert path; the
@@ -102,7 +116,10 @@ class RetrievalEngine : public RetrievalBackend {
   /// name; the pipeline holds the qse_engine_* retrieval ones.
   obs::Counter* filter_rows_visited_total_;
   obs::Counter* filter_rows_pruned_total_;
+  /// Per scan pass, however many queries it scored.
   obs::Histogram* filter_ns_;
+  /// Queries scored per scan pass.
+  obs::Histogram* filter_batch_queries_;
   RetrievalPipeline pipeline_;
   /// Serializes Insert/Remove against each other (retrievals never take
   /// it — they pin snapshots instead).

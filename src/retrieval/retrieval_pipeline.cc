@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
-#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,78 +26,154 @@ void RecordSince(obs::Histogram* histogram, MonotonicClock::time_point start) {
 StatusOr<RetrievalResponse> RetrievalPipeline::Retrieve(
     const DxToDatabaseFn& dx, const RetrievalOptions& options,
     size_t scan_threads,
+    const std::shared_ptr<obs::RequestTrace>& trace) const {
+  StatusOr<std::vector<RetrievalResponse>> responses =
+      Run(&dx, 1, options, scan_threads, trace);
+  QSE_RETURN_IF_ERROR(responses.status());
+  return std::move(responses->front());
+}
+
+StatusOr<std::vector<RetrievalResponse>> RetrievalPipeline::RetrieveBatch(
+    const std::vector<DxToDatabaseFn>& queries,
+    const RetrievalOptions& options) const {
+  return Run(queries.data(), queries.size(), options, options.num_threads,
+             /*trace=*/nullptr);
+}
+
+StatusOr<std::vector<RetrievalResponse>> RetrievalPipeline::Run(
+    const DxToDatabaseFn* queries, size_t count,
+    const RetrievalOptions& options, size_t threads,
     const std::shared_ptr<obs::RequestTrace>& trace_ptr) const {
   obs::RequestTrace* trace = trace_ptr.get();
   QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
+  std::vector<RetrievalResponse> responses(count);
+  if (count == 0) return responses;
   if (known_empty && known_empty()) {
     return Status::FailedPrecondition("embedded database is empty");
   }
-
-  // Quality audit: decide before the scan, so only a sampled request
-  // asks the sources to hand back the snapshots they pinned — the audit
-  // must score the exact views this response was served from.
-  obs::QualityMonitor* monitor = options.audit_monitor;
-  const bool audit = monitor != nullptr && monitor->ShouldSample();
-  std::optional<RetrievalOptions> unsampled;
-  if (monitor != nullptr && !audit) {
-    unsampled.emplace(options);
-    unsampled->audit_monitor = nullptr;
-  }
-  const RetrievalOptions& scan_options = unsampled ? *unsampled : options;
-
-  RetrievalResponse response;
-  // Embedding step: once per query, shared by every source's scan.
-  size_t embed_cost = 0;
-  uint64_t span_start = obs::TraceNowNs(trace);
-  MonotonicClock::time_point stage_start = MonotonicClock::now();
-  const Vector embedded_query = embedder->Embed(dx, &embed_cost);
-  RecordSince(metrics.embed_ns, stage_start);
-  obs::TraceMark(trace, "embed", span_start);
-  response.embedding_distances = embed_cost;
-
-  // Filter step: each source keeps its local top p (the global top p
-  // could in the worst case live entirely in one source).  A source can
-  // fail outright (a remote peer down mid fan-out); the first failure
-  // fails the query.
-  std::vector<ScanCandidatesResult> scans(num_sources);
+  if (threads == 0) threads = DefaultParallelism();
+  // The first failure — a remote peer down mid fan-out, a database
+  // emptied by concurrent removals — fails the batch.
   std::mutex error_mu;
   Status first_error = Status::OK();
-  stage_start = MonotonicClock::now();
-  // Grain 2: one item is a whole source scan; one source stays serial.
+  auto fail = [&](const Status& status) {
+    std::lock_guard<std::mutex> lock(error_mu);
+    if (first_error.ok()) first_error = status;
+  };
+
+  // Quality audit: decide before the scan, so only a batch holding a
+  // sampled request asks the sources to hand back the snapshots they
+  // pinned — the audit must score the exact views a response was served
+  // from.
+  obs::QualityMonitor* monitor = options.audit_monitor;
+  std::vector<char> audit(count, 0);
+  bool any_audit = false;
+  if (monitor != nullptr) {
+    for (size_t i = 0; i < count; ++i) {
+      audit[i] = monitor->ShouldSample();
+      any_audit = any_audit || audit[i];
+    }
+  }
+  RetrievalOptions scan_options = options;
+  if (!any_audit) scan_options.audit_monitor = nullptr;
+
+  // Phase 1, embedding: once per query, shared by every source's scan.
+  std::vector<Vector> embedded(count);
+  // Grain 2: an embedding is <= 2d exact distances, worth a thread.
   ParallelForGrain(
-      0, num_sources, 2,
-      [&](size_t s) {
+      0, count, 2,
+      [&](size_t i) {
+        size_t embed_cost = 0;
+        const uint64_t span_start = obs::TraceNowNs(trace);
+        const MonotonicClock::time_point start = MonotonicClock::now();
+        embedded[i] = embedder->Embed(queries[i], &embed_cost);
+        RecordSince(metrics.embed_ns, start);
+        obs::TraceMark(trace, "embed", span_start);
+        responses[i].embedding_distances = embed_cost;
+      },
+      threads);
+
+  // Phase 2, filter: each source keeps every query's local top p (the
+  // global top p could in the worst case live entirely in one source).
+  // A work item scans one source for one group of queries in one pass;
+  // sources fewer than threads split their queries so no thread idles.
+  const size_t groups =
+      std::min(count, std::max<size_t>(1, (threads + num_sources - 1) /
+                                              num_sources));
+  std::vector<std::vector<ScanCandidatesResult>> scans(
+      count, std::vector<ScanCandidatesResult>(num_sources));
+  MonotonicClock::time_point stage_start = MonotonicClock::now();
+  // Grain 2: one item is a whole pass over a source; one item stays
+  // serial.
+  ParallelForGrain(
+      0, num_sources * groups, 2,
+      [&](size_t item) {
+        const size_t s = item / groups;
+        const size_t g = item % groups;
+        const size_t begin = g * count / groups;
+        const size_t end = (g + 1) * count / groups;
+        std::vector<Vector> group;
+        if (groups > 1) {
+          group.assign(embedded.begin() + begin, embedded.begin() + end);
+        }
         const uint64_t scan_start = obs::TraceNowNs(trace);
-        StatusOr<ScanCandidatesResult> result =
-            scan(s, embedded_query, scan_options, trace);
+        StatusOr<std::vector<ScanCandidatesResult>> result =
+            scan(s, groups > 1 ? group : embedded, scan_options, trace);
         if (!result.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = result.status();
+          fail(result.status());
           return;
         }
-        scans[s] = std::move(result).value();
+        if (result->size() != end - begin) {
+          fail(Status::Internal("scan source " + std::to_string(s) +
+                                " answered " + std::to_string(result->size()) +
+                                " of " + std::to_string(end - begin) +
+                                " queries"));
+          return;
+        }
+        for (size_t i = begin; i < end; ++i) {
+          scans[i][s] = std::move((*result)[i - begin]);
+        }
         if (trace == nullptr) return;
         obs::TraceMark(
             trace, scan_span, scan_start,
             {obs::TraceArg{"shard", static_cast<int64_t>(s), nullptr},
-             obs::TraceArg{"rows", static_cast<int64_t>(scans[s].rows),
+             obs::TraceArg{"rows", static_cast<int64_t>(scans[0][s].rows),
                            nullptr},
              obs::TraceArg{"rows_pruned",
-                           static_cast<int64_t>(scans[s].rows_pruned),
+                           static_cast<int64_t>(scans[0][s].rows_pruned),
                            nullptr},
              obs::TraceArg{"precision", 0,
                            FilterPrecisionName(options.filter_precision)}});
       },
-      scan_threads);
+      threads);
   RecordSince(metrics.scan_ns, stage_start);
   QSE_RETURN_IF_ERROR(first_error);
 
+  // Phase 3, per query: merge, refine, account, audit.
+  ParallelForGrain(
+      0, count, 2,
+      [&](size_t i) {
+        Status status = Finish(queries[i], options, audit[i] != 0, trace_ptr,
+                               &scans[i], &responses[i]);
+        if (!status.ok()) fail(status);
+      },
+      threads);
+  QSE_RETURN_IF_ERROR(first_error);
+  return responses;
+}
+
+Status RetrievalPipeline::Finish(
+    const DxToDatabaseFn& dx, const RetrievalOptions& options, bool audit,
+    const std::shared_ptr<obs::RequestTrace>& trace_ptr,
+    std::vector<ScanCandidatesResult>* scans,
+    RetrievalResponse* response) const {
+  obs::RequestTrace* trace = trace_ptr.get();
   std::vector<std::vector<ScoredIndex>> lists(num_sources);
   size_t rows = 0, rows_pruned = 0;
   for (size_t s = 0; s < num_sources; ++s) {
-    lists[s] = std::move(scans[s].candidates);
-    rows += scans[s].rows;
-    rows_pruned += scans[s].rows_pruned;
+    lists[s] = std::move((*scans)[s].candidates);
+    rows += (*scans)[s].rows;
+    rows_pruned += (*scans)[s].rows_pruned;
   }
   if (metrics.filter_rows_visited_total != nullptr) {
     metrics.filter_rows_visited_total->Add(rows);
@@ -105,8 +181,8 @@ StatusOr<RetrievalResponse> RetrievalPipeline::Retrieve(
   }
 
   // Gather: k-way heap merge down to the global top p.
-  span_start = obs::TraceNowNs(trace);
-  stage_start = MonotonicClock::now();
+  uint64_t span_start = obs::TraceNowNs(trace);
+  MonotonicClock::time_point stage_start = MonotonicClock::now();
   const std::vector<ScoredIndex> candidates = MergeSortedTopK(lists, options.p);
   RecordSince(metrics.merge_ns, stage_start);
   if (trace != nullptr) {
@@ -124,10 +200,10 @@ StatusOr<RetrievalResponse> RetrievalPipeline::Retrieve(
   if (options.want_stats) {
     // Sources hold disjoint ids and each list is (score, id)-sorted, so
     // source s contributed exactly its entries up to the last merged one.
-    response.shard_stats.resize(num_sources);
+    response->shard_stats.resize(num_sources);
     for (size_t s = 0; s < num_sources; ++s) {
-      response.shard_stats[s].rows = scans[s].rows;
-      response.shard_stats[s].candidates = static_cast<size_t>(
+      response->shard_stats[s].rows = (*scans)[s].rows;
+      response->shard_stats[s].candidates = static_cast<size_t>(
           std::upper_bound(lists[s].begin(), lists[s].end(),
                            candidates.back()) -
           lists[s].begin());
@@ -151,34 +227,34 @@ StatusOr<RetrievalResponse> RetrievalPipeline::Retrieve(
                                   static_cast<int64_t>(candidates.size()),
                                   nullptr}});
   }
-  response.neighbors = std::move(refined);
-  response.exact_distances = embed_cost + candidates.size();
+  response->neighbors = std::move(refined);
+  response->exact_distances = response->embedding_distances + candidates.size();
   if (metrics.retrievals_total != nullptr) {
     metrics.retrievals_total->Increment();
-    metrics.exact_distances_total->Add(response.exact_distances);
+    metrics.exact_distances_total->Add(response->exact_distances);
   }
 
   // The audit scores every source's pinned snapshot, so it runs only
   // when all of them handed one back.
   const bool pinned_all =
-      std::all_of(scans.begin(), scans.end(),
+      std::all_of(scans->begin(), scans->end(),
                   [](const ScanCandidatesResult& r) { return r.pinned; });
   if (audit && pinned_all) {
     obs::AuditTask task;
     task.dx = dx;
     task.k = options.k;
-    task.served.reserve(response.neighbors.size());
-    for (const ScoredIndex& nb : response.neighbors) {
+    task.served.reserve(response->neighbors.size());
+    for (const ScoredIndex& nb : response->neighbors) {
       task.served.push_back({nb.index, nb.score});
     }
-    for (ScanCandidatesResult& r : scans) {
-      task.snapshots.push_back(std::move(*r.pinned));
+    for (ScanCandidatesResult& r : *scans) {
+      task.snapshots.push_back(std::move(r.pinned));
     }
     task.trace = trace_ptr;
-    monitor->SubmitAudit(std::move(task));
+    options.audit_monitor->SubmitAudit(std::move(task));
   }
-  response.trace = trace_ptr;
-  return response;
+  response->trace = trace_ptr;
+  return Status::OK();
 }
 
 }  // namespace qse

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "src/embedding/embedder.h"
 #include "src/obs/metric_registry.h"
@@ -16,7 +17,9 @@ namespace qse {
 /// Metric handles one pipeline owner records into, resolved once at
 /// construction so the hot path never takes the registry lock.  Null
 /// handles are skipped: the monolithic engine leaves the scan ones null
-/// because its ScanCandidates records its own filter metrics.
+/// because its ScanCandidatesBatch records its own filter metrics.
+/// scan_ns times the whole scan phase — one pass for the batch — while
+/// the other histograms record once per query.
 struct PipelineMetrics {
   obs::Counter* retrievals_total = nullptr;
   obs::Counter* exact_distances_total = nullptr;
@@ -28,28 +31,34 @@ struct PipelineMetrics {
   obs::Histogram* refine_ns = nullptr;
 };
 
-/// Scans source `s` for an embedded query: its local top-p as (database
-/// id, filter score) sorted by (score, id), per the ScanCandidates
-/// contract.  `trace` is the request's trace (null when unsampled); a
-/// source behind a process boundary may graft the remote spans into it.
-using ScanSourceFn = std::function<StatusOr<ScanCandidatesResult>(
-    size_t s, const Vector& embedded_query, const RetrievalOptions& options,
-    obs::RequestTrace* trace)>;
+/// Scans source `s` for a batch of embedded queries in one pass:
+/// result[i] is the local top-p of embedded_queries[i] as (database id,
+/// filter score) sorted by (score, id), per the ScanCandidatesBatch
+/// contract.  `trace` is the request's trace for a traced batch of one
+/// (null otherwise); a source behind a process boundary may graft the
+/// remote spans into it.
+using ScanSourceFn = std::function<StatusOr<std::vector<ScanCandidatesResult>>(
+    size_t s, const std::vector<Vector>& embedded_queries,
+    const RetrievalOptions& options, obs::RequestTrace* trace)>;
 
 /// The paper's retrieval (Sec. 8) over N scan sources — the one
 /// filter-and-refine implementation behind every backend: the monolithic
 /// engine is N = 1 over its own scan, the remote stub N = 1 over its
-/// kScan RPC, and the sharded engine N = S over its shards.
+/// kScan RPC, and the sharded engine N = S over its shards.  One body
+/// serves a batch of B queries (a single Retrieve is B = 1) in three
+/// phases:
 ///
-///  1. Embed the query once (<= 2d exact distances).
-///  2. Scan every source for its local top p, merge the sorted lists to
-///     the global top p under the (score, id) order.
-///  3. Refine the merged p by exact distance; neighbors are database
-///     ids, ties ordered by id.
+///  1. Embed every query once (<= 2d exact distances each).
+///  2. Scan every source once for the whole batch — one memory pass per
+///     source — for each query's local top p.
+///  3. Per query, merge the sorted lists to the global top p under the
+///     (score, id) order and refine the merged p by exact distance;
+///     neighbors are database ids, ties ordered by id.
 ///
 /// Sources are disjoint in ids, so the result equals one scan over their
-/// union.  Backends hold the pipeline as a member whose callbacks
-/// capture `this`, so a backend holding one is neither copied nor moved.
+/// union, and a query's answer does not depend on the batch it rode in.
+/// Backends hold the pipeline as a member whose callbacks capture
+/// `this`, so a backend holding one is neither copied nor moved.
 struct RetrievalPipeline {
   const Embedder* embedder = nullptr;
   size_t num_sources = 1;
@@ -62,16 +71,39 @@ struct RetrievalPipeline {
   const char* scan_span = "filter_scan";
   PipelineMetrics metrics;
 
-  /// One retrieval: validate, embed, scan the sources in parallel across
-  /// `scan_threads`, merge, refine; then fill shard_stats (want_stats),
-  /// record counters and the request's spans, and offer the response
-  /// to options.audit_monitor.  A sampled request asks every source for
-  /// its pinned snapshot; the audit runs only when all of them hand one
-  /// back (never over remote sources).
+  /// One retrieval, the batch of one: validate, embed, scan the sources
+  /// in parallel across `scan_threads`, merge, refine; then fill
+  /// shard_stats (want_stats), record counters and the request's spans,
+  /// and offer the response to options.audit_monitor.  A sampled request
+  /// asks every source for its pinned snapshot; the audit runs only when
+  /// all of them hand one back (never over remote sources).
   StatusOr<RetrievalResponse> Retrieve(
       const DxToDatabaseFn& dx, const RetrievalOptions& options,
       size_t scan_threads,
       const std::shared_ptr<obs::RequestTrace>& trace) const;
+
+  /// The batch: the same body over every query, across
+  /// options.num_threads threads (see RetrievalOptions::num_threads for
+  /// the scan phase's work items).  results[i] is bit-identical to
+  /// Retrieve(queries[i], ...); a sampled request is audited against the
+  /// snapshots its scan pass pinned.
+  StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
+      const std::vector<DxToDatabaseFn>& queries,
+      const RetrievalOptions& options) const;
+
+ private:
+  /// The body: `trace` is non-null only for a traced batch of one.
+  StatusOr<std::vector<RetrievalResponse>> Run(
+      const DxToDatabaseFn* queries, size_t count,
+      const RetrievalOptions& options, size_t threads,
+      const std::shared_ptr<obs::RequestTrace>& trace) const;
+  /// Phase 3 for one query: merges its per-source `scans`, refines with
+  /// `dx` into `response` (which already holds the embedding cost), and
+  /// submits the audit when `audit` and every source pinned a snapshot.
+  Status Finish(const DxToDatabaseFn& dx, const RetrievalOptions& options,
+                bool audit, const std::shared_ptr<obs::RequestTrace>& trace,
+                std::vector<ScanCandidatesResult>* scans,
+                RetrievalResponse* response) const;
 };
 
 }  // namespace qse

@@ -91,10 +91,11 @@ void ShardedRetrievalEngine::InitPipeline() {
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   pipeline_.embedder = embedder_;
   pipeline_.num_sources = shards_.size();
-  pipeline_.scan = [this](size_t s, const Vector& embedded_query,
+  pipeline_.scan = [this](size_t s,
+                          const std::vector<Vector>& embedded_queries,
                           const RetrievalOptions& options,
                           obs::RequestTrace*) {
-    return shards_[s]->ScanCandidates(embedded_query, options);
+    return shards_[s]->ScanCandidatesBatch(embedded_queries, options);
   };
   pipeline_.known_empty = [this] { return size() == 0; };
   pipeline_.scan_span = "shard_scan";
@@ -125,12 +126,7 @@ StatusOr<RetrievalResponse> ShardedRetrievalEngine::Retrieve(
 StatusOr<std::vector<RetrievalResponse>> ShardedRetrievalEngine::RetrieveBatch(
     const std::vector<DxToDatabaseFn>& queries,
     const RetrievalOptions& options) const {
-  // Parallelize across queries and scan each query's shards serially:
-  // one level of parallelism, no nested thread fan-out, and per-query
-  // results identical to Retrieve's.
-  return RetrieveEach(queries, options, [&](const DxToDatabaseFn& dx) {
-    return pipeline_.Retrieve(dx, options, /*scan_threads=*/1, {});
-  });
+  return pipeline_.RetrieveBatch(queries, options);
 }
 
 Status ShardedRetrievalEngine::Insert(size_t db_id, const DxToDatabaseFn& dx) {

@@ -28,8 +28,10 @@ struct ShardedEngineOptions {
   size_t num_shards = 0;
   /// Threads used to scatter ONE query's filter step across shards
   /// (Retrieve).  0 means hardware concurrency.  RetrieveBatch ignores
-  /// this and parallelizes across queries instead, scanning each query's
-  /// shards serially — one level of parallelism, never nested.
+  /// this and uses options.num_threads = T: each shard is scanned once
+  /// for the whole batch, one work item per shard when S >= T, and with
+  /// S < T each shard's queries split into ceil(T / S) groups so no
+  /// thread idles — one level of parallelism, never nested.
   size_t scatter_threads = 0;
   /// Filter shadow matrices (kShadowFloat32 | kShadowInt8) every shard
   /// database carries, enabling reduced-precision requests
@@ -109,8 +111,9 @@ class ShardedRetrievalEngine : public RetrievalBackend {
   StatusOr<RetrievalResponse> Retrieve(
       const RetrievalRequest& request) const override;
 
-  /// Thread-parallel over queries (each query's scatter runs serially);
-  /// results[i] is bit-identical to Retrieve({queries[i], options}).
+  /// One pass per shard for the whole batch (see scatter_threads for
+  /// the work items); results[i] is bit-identical to
+  /// Retrieve({queries[i], options}).
   StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
       const std::vector<DxToDatabaseFn>& queries,
       const RetrievalOptions& options) const override;

@@ -352,6 +352,8 @@ struct StressConfig {
   size_t ops_per_mutator = 0;      // Filled from StressScale().
   size_t min_queries_per_thread = 0;
   size_t batch_size = 8;
+  /// RetrievalOptions::num_threads of the batched queries.
+  size_t batch_threads = 0;
 };
 
 StressConfig ScaledConfig() {
@@ -437,8 +439,10 @@ void RunConsistencyStress(RetrievalBackend* backend, bool indices_are_ids,
           }
           QueryWindow w;
           w.begin = history.Stamp();
+          RetrievalOptions options = StressOptions();
+          options.num_threads = config.batch_threads;
           StatusOr<std::vector<RetrievalResponse>> resp =
-              backend->RetrieveBatch(queries, StressOptions());
+              backend->RetrieveBatch(queries, options);
           w.end = history.Stamp();
           if (!resp.ok()) {
             log.Add("RetrieveBatch failed: " + resp.status().ToString());
@@ -524,6 +528,30 @@ TEST(ConcurrentMutationStress, ShardedEngineBatchedQueries) {
   ShardedStack stack(3);
   RunConsistencyStress(stack.engine.get(), /*indices_are_ids=*/true,
                        QueryMode::kBatch, seed, ScaledConfig());
+}
+
+// One scan pass per source and query group: batches that do not divide
+// evenly into groups, with more threads than sources, so several passes
+// over each source pin their snapshots while mutators run.
+TEST(ConcurrentMutationStress, BatchScanQueryGroupsUnderMutation) {
+  const uint64_t seed = StressSeed();
+  QSE_LOG_STRESS_SEED(seed);
+  StressConfig config = ScaledConfig();
+  config.batch_size = 17;
+  config.batch_threads = 3;
+  {
+    SCOPED_TRACE("mono, 3 query groups");
+    MonoStack stack;
+    RunConsistencyStress(&stack.engine, /*indices_are_ids=*/false,
+                         QueryMode::kBatch, seed, config);
+  }
+  config.batch_threads = 4;
+  {
+    SCOPED_TRACE("2 shards, 2 query groups each");
+    ShardedStack stack(2);
+    RunConsistencyStress(stack.engine.get(), /*indices_are_ids=*/true,
+                         QueryMode::kBatch, seed, config);
+  }
 }
 
 // --- mutation through the async server -----------------------------------

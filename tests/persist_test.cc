@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/metric_registry.h"
 #include "src/persist/durability.h"
 #include "src/persist/durable_backend.h"
 #include "src/persist/snapshot.h"
@@ -23,12 +24,14 @@
 #include "src/retrieval/retrieval_engine.h"
 #include "src/serving/sharded_retrieval_engine.h"
 #include "tests/line_universe.h"
+#include "tests/test_util.h"
 
 namespace qse {
 namespace persist {
 namespace {
 
 using test::DxOfObject;
+using test::ExpectDbsIdentical;
 using test::kLineDims;
 using test::LineEmbedder;
 using test::MakeDx;
@@ -61,32 +64,6 @@ void ExpectRecordsEqual(const WalRecord& want, const WalRecord& got) {
   if (!want.row.empty()) {
     EXPECT_EQ(0, std::memcmp(want.row.data(), got.row.data(),
                              want.row.size() * sizeof(double)));
-  }
-}
-
-/// Full bit-identity between two databases: float64 matrix, id column,
-/// and — when present — both shadow matrices and the int8 scales.
-void ExpectDbsIdentical(const EmbeddedDatabase& a, const EmbeddedDatabase& b,
-                        const std::string& what) {
-  SCOPED_TRACE(what);
-  EmbeddedDatabase::Snapshot sa = a.snapshot();
-  EmbeddedDatabase::Snapshot sb = b.snapshot();
-  const EmbeddedDatabase::View& va = sa.view();
-  const EmbeddedDatabase::View& vb = sb.view();
-  ASSERT_EQ(va.size(), vb.size());
-  ASSERT_EQ(va.dims(), vb.dims());
-  const size_t cells = va.size() * va.dims();
-  EXPECT_EQ(0, std::memcmp(va.data(), vb.data(), cells * sizeof(double)));
-  EXPECT_EQ(0, std::memcmp(va.ids(), vb.ids(), va.size() * sizeof(size_t)));
-  ASSERT_EQ(va.shadows(), vb.shadows());
-  if (va.has_f32()) {
-    EXPECT_EQ(0, std::memcmp(va.data_f32(), vb.data_f32(),
-                             cells * sizeof(float)));
-  }
-  if (va.has_i8()) {
-    EXPECT_EQ(0, std::memcmp(va.data_i8(), vb.data_i8(), cells));
-    EXPECT_EQ(0, std::memcmp(va.i8_scales(), vb.i8_scales(),
-                             va.dims() * sizeof(float)));
   }
 }
 
@@ -569,6 +546,44 @@ TEST(DurableBackendTest, RetrievalsPassThrough) {
   for (size_t i = 0; i < direct->neighbors.size(); ++i) {
     EXPECT_EQ(direct->neighbors[i].index, through->neighbors[i].index);
     EXPECT_EQ(direct->neighbors[i].score, through->neighbors[i].score);
+  }
+}
+
+TEST(DurableBackendTest, ScanCandidatesBatchForwardsTheOnePassScan) {
+  const DurabilityOptions opts = Opts(FreshDir("persist_scan_batch"));
+  MonoStack live;
+  StatusOr<std::unique_ptr<DurabilityManager>> manager =
+      DurabilityManager::Open(opts);
+  ASSERT_TRUE(manager.ok());
+  DurableBackend durable(&live.engine, &live.embedder, manager.value().get(),
+                         {&live.db});
+  for (size_t id = 0; id < 32; ++id) {
+    ASSERT_TRUE(durable.Insert(id, DxOfObject(id)).ok());
+  }
+  std::vector<Vector> queries;
+  for (size_t id : {3u, 11u, 20u, 31u, 7u}) {
+    queries.push_back(live.embedder.Embed(MakeDx(XOf(id)), nullptr));
+  }
+  const RetrievalOptions options(3, 6);
+  obs::Histogram* passes = obs::MetricRegistry::Global().GetHistogram(
+      "qse_engine_filter_batch_queries", obs::ExponentialBoundaries(1, 2, 10));
+  const obs::HistogramSnapshot before = passes->Snapshot();
+  StatusOr<std::vector<ScanCandidatesResult>> through =
+      durable.ScanCandidatesBatch(queries, options);
+  const obs::HistogramSnapshot after = passes->Snapshot();
+  ASSERT_TRUE(through.ok()) << through.status();
+  // One scan pass scored the whole batch: the decorator forwarded the
+  // batch instead of looping per-query scans.
+  EXPECT_EQ(before.count + 1, after.count);
+  EXPECT_EQ(before.sum + queries.size(), after.sum);
+  StatusOr<std::vector<ScanCandidatesResult>> direct =
+      live.engine.ScanCandidatesBatch(queries, options);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  ASSERT_EQ(direct->size(), through->size());
+  for (size_t q = 0; q < direct->size(); ++q) {
+    EXPECT_EQ((*direct)[q].candidates, (*through)[q].candidates);
+    EXPECT_EQ((*direct)[q].rows, (*through)[q].rows);
+    EXPECT_EQ((*direct)[q].rows_pruned, (*through)[q].rows_pruned);
   }
 }
 

@@ -261,6 +261,58 @@ TEST(QualityMonitorTest, ComposedShardedEngineAuditsOnlyPinnedShards) {
   EXPECT_DOUBLE_EQ(stats.recall_at_k, 1.0);
 }
 
+TEST(QualityMonitorTest, BatchAuditsScoreTheSnapshotTheirPassPinned) {
+  // RetrieveBatch scans the database once for the whole batch; a sampled
+  // request inside it must be audited against the snapshot that pass
+  // pinned, not the live rows.  The worker is parked while the batch
+  // runs, and half the database is removed before it resumes: an audit
+  // of the live rows would find a different exact top-k.
+  constexpr size_t kN = 60;
+  constexpr size_t kBatch = 8;
+  MonitorStack stack(kN, kBatch, 4, 43);
+  MetricRegistry registry;
+  QualityMonitorOptions qopts;
+  qopts.sample_every_n = 2;
+  qopts.registry = &registry;
+  QualityMonitor monitor(qopts);
+
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  AuditTask blocker;
+  blocker.k = 1;
+  blocker.served = {{0, 0.0}};
+  blocker.snapshots.push_back(
+      std::make_shared<EmbeddedDatabase::Snapshot>(stack.db.snapshot()));
+  blocker.dx = [&](size_t) {
+    entered.store(true);
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return 0.0;
+  };
+  monitor.SubmitAudit(std::move(blocker));
+  while (!entered.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  std::vector<DxToDatabaseFn> queries;
+  for (size_t q = kN; q < kN + kBatch; ++q) queries.push_back(stack.Query(q));
+  // p = n: every served answer is the exact top-k of the pinned rows.
+  RetrievalOptions options = test::Opts(5, kN, /*num_threads=*/1);
+  options.audit_monitor = &monitor;
+  auto batch = stack.mono->RetrieveBatch(queries, options);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  for (size_t id = 0; id < kN; id += 2) {
+    ASSERT_TRUE(stack.mono->Remove(id).ok());
+  }
+  release.store(true);
+  monitor.Flush();
+  QualityMonitorStats stats = monitor.stats();
+  EXPECT_EQ(stats.sampled, 1 + kBatch / 2);
+  EXPECT_EQ(stats.completed, 1 + kBatch / 2);
+  EXPECT_EQ(stats.mismatches, 0u);
+}
+
 TEST(QualityMonitorTest, AttachingMonitorDoesNotChangeResults) {
   constexpr size_t kN = 80;
   MonitorStack stack(kN, 6, 4, 17);
@@ -331,7 +383,8 @@ TEST(QualityMonitorTest, FullQueueShedsInsteadOfBlocking) {
     AuditTask task;
     task.k = 1;
     task.served = {{0, 0.0}};
-    task.snapshots.push_back(stack.db.snapshot());
+    task.snapshots.push_back(
+        std::make_shared<EmbeddedDatabase::Snapshot>(stack.db.snapshot()));
     if (blocking) {
       task.dx = [&](size_t) {
         entered.fetch_add(1);
@@ -372,7 +425,8 @@ TEST(QualityMonitorTest, SubmitAfterShutdownShedsCleanly) {
   AuditTask task;
   task.k = 1;
   task.served = {{0, 0.0}};
-  task.snapshots.push_back(stack.db.snapshot());
+  task.snapshots.push_back(
+      std::make_shared<EmbeddedDatabase::Snapshot>(stack.db.snapshot()));
   task.dx = [](size_t) { return 0.0; };
   monitor.SubmitAudit(std::move(task));
   QualityMonitorStats stats = monitor.stats();

@@ -18,43 +18,16 @@
 #include "src/retrieval/filter_scorer.h"
 #include "src/retrieval/retrieval_engine.h"
 #include "tests/line_universe.h"
+#include "tests/test_util.h"
 
 namespace qse {
 namespace persist {
 namespace {
 
 using test::DxOfObject;
+using test::ExpectDbsIdentical;
 using test::kLineDims;
 using test::LineEmbedder;
-
-void ExpectDbsIdentical(const EmbeddedDatabase& a, const EmbeddedDatabase& b,
-                        const std::string& what) {
-  SCOPED_TRACE(what);
-  EmbeddedDatabase::Snapshot sa = a.snapshot();
-  EmbeddedDatabase::Snapshot sb = b.snapshot();
-  const EmbeddedDatabase::View& va = sa.view();
-  const EmbeddedDatabase::View& vb = sb.view();
-  ASSERT_EQ(va.size(), vb.size());
-  ASSERT_EQ(va.dims(), vb.dims());
-  const size_t cells = va.size() * va.dims();
-  // An empty database's buffers are null, and memcmp with a null pointer
-  // is undefined even for zero bytes.
-  auto same_bytes = [](const void* x, const void* y, size_t bytes) {
-    return bytes == 0 || std::memcmp(x, y, bytes) == 0;
-  };
-  EXPECT_TRUE(same_bytes(va.data(), vb.data(), cells * sizeof(double)));
-  EXPECT_TRUE(same_bytes(va.ids(), vb.ids(), va.size() * sizeof(size_t)));
-  ASSERT_EQ(va.shadows(), vb.shadows());
-  if (va.has_f32()) {
-    EXPECT_TRUE(
-        same_bytes(va.data_f32(), vb.data_f32(), cells * sizeof(float)));
-  }
-  if (va.has_i8()) {
-    EXPECT_TRUE(same_bytes(va.data_i8(), vb.data_i8(), cells));
-    EXPECT_TRUE(same_bytes(va.i8_scales(), vb.i8_scales(),
-                           va.dims() * sizeof(float)));
-  }
-}
 
 /// Encode -> decode -> install into `out`, asserting the decoded header
 /// fields survived too.  `out` must have matching dims (or the image

@@ -1,11 +1,16 @@
 #ifndef QSE_TESTS_TEST_UTIL_H_
 #define QSE_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/data/dataset.h"
 #include "src/distance/lp.h"
+#include "src/retrieval/embedded_database.h"
 #include "src/retrieval/retrieval_backend.h"
 #include "src/util/random.h"
 
@@ -36,6 +41,38 @@ inline std::vector<size_t> Iota(size_t n, size_t start = 0) {
   std::vector<size_t> ids(n);
   std::iota(ids.begin(), ids.end(), start);
   return ids;
+}
+
+/// Full bit-identity between two databases: float64 matrix, id column,
+/// and — when present — both shadow matrices and the int8 scales.
+inline void ExpectDbsIdentical(const EmbeddedDatabase& a,
+                               const EmbeddedDatabase& b,
+                               const std::string& what) {
+  SCOPED_TRACE(what);
+  EmbeddedDatabase::Snapshot sa = a.snapshot();
+  EmbeddedDatabase::Snapshot sb = b.snapshot();
+  const EmbeddedDatabase::View& va = sa.view();
+  const EmbeddedDatabase::View& vb = sb.view();
+  ASSERT_EQ(va.size(), vb.size());
+  ASSERT_EQ(va.dims(), vb.dims());
+  const size_t cells = va.size() * va.dims();
+  // An empty database's buffers are null, and memcmp with a null pointer
+  // is undefined even for zero bytes.
+  auto same_bytes = [](const void* x, const void* y, size_t bytes) {
+    return bytes == 0 || std::memcmp(x, y, bytes) == 0;
+  };
+  EXPECT_TRUE(same_bytes(va.data(), vb.data(), cells * sizeof(double)));
+  EXPECT_TRUE(same_bytes(va.ids(), vb.ids(), va.size() * sizeof(size_t)));
+  ASSERT_EQ(va.shadows(), vb.shadows());
+  if (va.has_f32()) {
+    EXPECT_TRUE(
+        same_bytes(va.data_f32(), vb.data_f32(), cells * sizeof(float)));
+  }
+  if (va.has_i8()) {
+    EXPECT_TRUE(same_bytes(va.data_i8(), vb.data_i8(), cells));
+    EXPECT_TRUE(same_bytes(va.i8_scales(), vb.i8_scales(),
+                           va.dims() * sizeof(float)));
+  }
 }
 
 }  // namespace test

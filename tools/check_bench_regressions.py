@@ -230,7 +230,9 @@ def micro_batching_tail_bound():
 # fails when the ratio exceeds the bound.  The bound may be a callable
 # (resolved at check time, e.g. to adapt to the host's core count).
 # Metric "real_time" is the google-benchmark mean; "p99" gates tail
-# latency and only applies to benchmarks that emit percentiles.
+# latency and only applies to benchmarks that emit percentiles;
+# "items_per_second" is a throughput, so a rule on it puts the side that
+# must be faster in the denominator.
 RULES = [
     # The flat SoA layout exists to beat the AoS scan it replaced; allow
     # 10% noise headroom.
@@ -359,6 +361,17 @@ RULES = [
         wal_tail_bound,
         "WAL-on mutating closed loop vs WAL-off (p99 tail)",
         "p99",
+    ),
+    # The batch-tiled filter scan: eight queries scored in one pass over
+    # the rows must reach >= 1.5x the per-query throughput of the
+    # single-query scan.  Metric items_per_second counts queries, so
+    # the ratio is B=1 over B=8 throughput.
+    (
+        "BM_ScoreTopPBatch/100000/256/1",
+        "BM_ScoreTopPBatch/100000/256/8",
+        1.0 / 1.5,
+        "batch-tiled scan B=8 per-query throughput vs B=1 (n=100k, d=256)",
+        "items_per_second",
     ),
     # Runtime dispatch on the exact path must never lose to the seed
     # scalar scan it replaced (same math, same bits, wider registers).
