@@ -10,7 +10,9 @@
 //     at up to n = 100k, d = 256.
 //   * full scan + SmallestK vs the fused early-abandon ScoreTopP pass.
 //   * the batch-tiled ScoreTopPBatch: per-query throughput of one pass
-//     over the rows for B = 8 queries against B = 1.
+//     over the rows for B = 8 queries against B = 1, also for
+//     query-sensitive queries whose weights include a negative one (no
+//     early abandon, so the shared pass is their only saving).
 //   * one-query-at-a-time Retrieve vs thread-parallel RetrieveBatch.
 //   * the monolithic single-query scan vs the sharded scatter/gather
 //     engine (S shards x 1 query): does sharding speed up ONE query, not
@@ -21,6 +23,11 @@
 #include <memory>
 #include <vector>
 
+#include "src/core/qs_embedding.h"
+#include "src/core/training_context.h"
+#include "src/core/weak_classifier.h"
+#include "src/data/dataset.h"
+#include "src/distance/lp.h"
 #include "src/distance/simd/dispatch.h"
 #include "src/distance/weighted_l1.h"
 #include "src/retrieval/filter_refine.h"
@@ -214,6 +221,55 @@ void BM_ScoreTopPBatch(benchmark::State& state) {
                           static_cast<int64_t>(b));
 }
 BENCHMARK(BM_ScoreTopPBatch)
+    ->Args({100000, 256, 1})
+    ->Args({100000, 256, 8})
+    ->Unit(benchmark::kMillisecond);
+
+/// A query-sensitive model over `d` reference coordinates whose weights
+/// are positive except A_0(q) = 0.5 - 5 < 0 for every query: each query
+/// scores every row in full, with no early abandon.
+QuerySensitiveEmbedding NegativeWeightModel(size_t d) {
+  Rng rng(9);
+  std::vector<Vector> points(d + 2);
+  for (Vector& p : points) p = {rng.Uniform(0, 1), rng.Uniform(0, 1)};
+  ObjectOracle<Vector> oracle(std::move(points), L2Distance);
+  std::vector<size_t> candidates(d);
+  for (size_t c = 0; c < d; ++c) candidates[c] = c;
+  TrainingContext ctx = TrainingContext::Build(oracle, candidates, {d, d + 1});
+  std::vector<WeakClassifier> rounds(d + 1);
+  for (uint32_t c = 0; c < d; ++c) {
+    rounds[c].spec.type = Embedding1DSpec::Type::kReference;
+    rounds[c].spec.c1 = c;
+    rounds[c].alpha = 0.5;
+  }
+  rounds[d].spec.type = Embedding1DSpec::Type::kReference;
+  rounds[d].spec.c1 = 0;
+  rounds[d].alpha = -5.0;
+  return QuerySensitiveEmbedding::FromTraining(ctx, rounds,
+                                               /*query_sensitive=*/true);
+}
+
+void BM_ScoreTopPBatchNegative(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  size_t d = static_cast<size_t>(state.range(1));
+  size_t b = static_cast<size_t>(state.range(2));
+  EmbeddedDatabase db = MakeSoaDb(n, d, 1);
+  Rng rng(5);
+  std::vector<Vector> queries(b, Vector(d));
+  for (Vector& q : queries) {
+    for (double& v : q) v = rng.Uniform(0, 1);
+  }
+  const QuerySensitiveEmbedding model = NegativeWeightModel(d);
+  QSE_CHECK(model.QueryWeights(queries[0])[0] < 0.0);
+  QuerySensitiveScorer scorer(&model);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        scorer.ScoreTopPBatch(queries, db, 500, FilterPrecision::kExact64));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(b));
+}
+BENCHMARK(BM_ScoreTopPBatchNegative)
     ->Args({100000, 256, 1})
     ->Args({100000, 256, 8})
     ->Unit(benchmark::kMillisecond);

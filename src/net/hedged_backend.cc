@@ -175,13 +175,23 @@ StatusOr<RetrievalResponse> HedgedReplicaBackend::Retrieve(
 
 StatusOr<ScanCandidatesResult> HedgedReplicaBackend::ScanCandidates(
     const Vector& embedded_query, const RetrievalOptions& options) const {
+  StatusOr<std::vector<ScanCandidatesResult>> batch =
+      ScanCandidatesBatch({embedded_query}, options);
+  QSE_RETURN_IF_ERROR(batch.status());
+  return std::move(batch->front());
+}
+
+StatusOr<std::vector<ScanCandidatesResult>>
+HedgedReplicaBackend::ScanCandidatesBatch(
+    const std::vector<Vector>& embedded_queries,
+    const RetrievalOptions& options) const {
   QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  Vector query = embedded_query;
   RetrievalOptions opts = options;
   opts.audit_monitor = nullptr;  // audits sample at the top engine only
-  return HedgedCall<ScanCandidatesResult>([this, query, opts](size_t r) {
-    return replicas_[r]->ScanCandidates(query, opts);
-  });
+  return HedgedCall<std::vector<ScanCandidatesResult>>(
+      [this, embedded_queries, opts](size_t r) {
+        return replicas_[r]->ScanCandidatesBatch(embedded_queries, opts);
+      });
 }
 
 Status HedgedReplicaBackend::Insert(size_t db_id, const DxToDatabaseFn& dx) {

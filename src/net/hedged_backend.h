@@ -67,8 +67,15 @@ class HedgedReplicaBackend : public RetrievalBackend {
   StatusOr<RetrievalResponse> Retrieve(
       const RetrievalRequest& request) const override;
 
+  /// ScanCandidatesBatch of one query.
   StatusOr<ScanCandidatesResult> ScanCandidates(
       const Vector& embedded_query,
+      const RetrievalOptions& options) const override;
+
+  /// One hedged call for the whole batch: each attempt is one replica's
+  /// ScanCandidatesBatch (one kScan frame for a remote replica).
+  StatusOr<std::vector<ScanCandidatesResult>> ScanCandidatesBatch(
+      const std::vector<Vector>& embedded_queries,
       const RetrievalOptions& options) const override;
 
   /// Broadcast to every replica (replica sets must stay identical).
@@ -88,7 +95,7 @@ class HedgedReplicaBackend : public RetrievalBackend {
   template <typename T>
   struct CallState;
 
-  /// The hedged read driver shared by Retrieve and ScanCandidates:
+  /// The hedged read driver shared by Retrieve and ScanCandidatesBatch:
   /// `attempt(replica_index)` runs one try against one replica.
   template <typename T>
   StatusOr<T> HedgedCall(

@@ -43,19 +43,10 @@ RemoteRetrievalBackend::RemoteRetrievalBackend(const Embedder* embedder,
       rpc_latency_ns_(obs::MetricRegistry::Global().GetHistogram(
           "qse_remote_rpc_latency_ns", obs::DefaultLatencyBoundariesNs())) {
   pipeline_.embedder = embedder_;
-  // One kScan round trip per query: the wire has no batched scan op.
   pipeline_.scan = [this](size_t, const std::vector<Vector>& embedded_queries,
                           const RetrievalOptions& options,
-                          obs::RequestTrace* trace)
-      -> StatusOr<std::vector<ScanCandidatesResult>> {
-    std::vector<ScanCandidatesResult> results;
-    results.reserve(embedded_queries.size());
-    for (const Vector& query : embedded_queries) {
-      StatusOr<ScanCandidatesResult> result = Scan(query, options, trace);
-      QSE_RETURN_IF_ERROR(result.status());
-      results.push_back(std::move(result).value());
-    }
-    return results;
+                          obs::RequestTrace* trace) {
+    return Scan(embedded_queries, options, trace);
   };
   pipeline_.scan_span = "rpc_scan";
 }
@@ -194,42 +185,87 @@ StatusOr<WireResponse> RemoteRetrievalBackend::Call(WireRequest request) const {
 
 StatusOr<ScanCandidatesResult> RemoteRetrievalBackend::ScanCandidates(
     const Vector& embedded_query, const RetrievalOptions& options) const {
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  return Scan(embedded_query, options, /*trace=*/nullptr);
+  StatusOr<std::vector<ScanCandidatesResult>> batch =
+      ScanCandidatesBatch({embedded_query}, options);
+  QSE_RETURN_IF_ERROR(batch.status());
+  return std::move(batch->front());
 }
 
-StatusOr<ScanCandidatesResult> RemoteRetrievalBackend::Scan(
-    const Vector& embedded_query, const RetrievalOptions& options,
-    obs::RequestTrace* trace) const {
-  WireRequest request;
-  request.op = WireOp::kScan;
-  request.options = options;
-  request.options.audit_monitor = nullptr;  // client-side only
-  request.want_trace = trace != nullptr;
-  request.query = embedded_query;
-  const uint64_t span_start = obs::TraceNowNs(trace);
-  auto response = Call(std::move(request));
-  QSE_RETURN_IF_ERROR(response.status());
-  WireResponse& scan = response.value();
-  if (trace != nullptr) {
-    // Graft server-side spans: their times are relative to the server's
-    // receipt of the request, which from this trace's view is no earlier
-    // than this call's start.  Clocks of two processes are never
-    // compared — only the server's own durations ride on our anchor.
-    for (const WireSpan& span : scan.spans) {
-      obs::TraceSpan grafted;
-      grafted.name = obs::InternString("remote:" + span.name);
-      grafted.start_ns = span_start + span.start_ns;
-      grafted.dur_ns = span.dur_ns;
-      grafted.tid = span.tid;
-      trace->AddSpan(std::move(grafted));
+StatusOr<std::vector<ScanCandidatesResult>>
+RemoteRetrievalBackend::ScanCandidatesBatch(
+    const std::vector<Vector>& embedded_queries,
+    const RetrievalOptions& options) const {
+  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
+  return Scan(embedded_queries, options, /*trace=*/nullptr);
+}
+
+StatusOr<std::vector<ScanCandidatesResult>> RemoteRetrievalBackend::Scan(
+    const std::vector<Vector>& embedded_queries,
+    const RetrievalOptions& options, obs::RequestTrace* trace) const {
+  std::vector<ScanCandidatesResult> results;
+  if (embedded_queries.empty()) return results;
+  const size_t d = embedded_queries.front().size();
+  for (const Vector& query : embedded_queries) {
+    if (query.size() != d) {
+      return Status::InvalidArgument(
+          "the embedded queries of one batch differ in dims");
     }
   }
-  ScanCandidatesResult result;
-  result.candidates = std::move(scan.neighbors);
-  result.rows = static_cast<size_t>(scan.rows);
-  result.rows_pruned = static_cast<size_t>(scan.rows_pruned);
-  return result;
+  // Split the batch so neither a frame's queries nor its answer (up to p
+  // candidates per query) can outgrow the frame cap.
+  const size_t per_frame = static_cast<size_t>(std::min<uint64_t>(
+      kMaxWireQueries,
+      std::max<uint64_t>(1, kMaxScanCandidatesPerFrame /
+                                std::max<uint64_t>({options.p, d, 1}))));
+  results.reserve(embedded_queries.size());
+  for (size_t begin = 0; begin < embedded_queries.size(); begin += per_frame) {
+    const size_t b = std::min(per_frame, embedded_queries.size() - begin);
+    WireRequest request;
+    request.op = WireOp::kScan;
+    request.options = options;
+    request.options.audit_monitor = nullptr;  // client-side only
+    request.want_trace = trace != nullptr;
+    request.num_queries = b;
+    request.query.reserve(b * d);
+    for (size_t i = begin; i < begin + b; ++i) {
+      request.query.insert(request.query.end(), embedded_queries[i].begin(),
+                           embedded_queries[i].end());
+    }
+    const uint64_t span_start = obs::TraceNowNs(trace);
+    auto response = Call(std::move(request));
+    QSE_RETURN_IF_ERROR(response.status());
+    WireResponse& scan = response.value();
+    if (scan.lists.size() != b) {
+      return Status::DataLoss("kScan answered " +
+                              std::to_string(scan.lists.size()) + " of " +
+                              std::to_string(b) + " candidate lists");
+    }
+    if (trace != nullptr) {
+      // Graft server-side spans: their times are relative to the server's
+      // receipt of the request, which from this trace's view is no
+      // earlier than this call's start.  Clocks of two processes are
+      // never compared — only the server's own durations ride on our
+      // anchor.
+      for (const WireSpan& span : scan.spans) {
+        obs::TraceSpan grafted;
+        grafted.name = obs::InternString("remote:" + span.name);
+        grafted.start_ns = span_start + span.start_ns;
+        grafted.dur_ns = span.dur_ns;
+        grafted.tid = span.tid;
+        trace->AddSpan(std::move(grafted));
+      }
+    }
+    auto next = scan.neighbors.begin();
+    for (const WireScanList& list : scan.lists) {
+      ScanCandidatesResult result;
+      result.candidates.assign(next, next + list.size);
+      next += list.size;
+      result.rows = static_cast<size_t>(scan.rows);
+      result.rows_pruned = static_cast<size_t>(list.rows_pruned);
+      results.push_back(std::move(result));
+    }
+  }
+  return results;
 }
 
 StatusOr<RetrievalResponse> RemoteRetrievalBackend::Retrieve(

@@ -46,12 +46,13 @@ struct RemoteBackendOptions {
 ///
 /// Division of labor (the paper's pipeline, cut at the only seam that
 /// survives a process boundary): the EMBEDDING step runs client-side —
-/// `dx` is an opaque closure — and only the embedded vector crosses the
-/// wire (kScan).  The server runs the filter scan; the client refines
-/// the returned candidates with its own dx.  Retrieve is the shared
-/// RetrievalPipeline with the kScan RPC as its single source, so it
-/// reproduces RetrievalEngine bit for bit; under the sharded engine,
-/// remote candidate lists merge exactly as local ones.
+/// `dx` is an opaque closure — and only the embedded vectors cross the
+/// wire (kScan).  The server runs the filter scan, one pass for a whole
+/// batch; the client refines the returned candidates with its own dx.
+/// Retrieve is the shared RetrievalPipeline with the kScan RPC as its
+/// single source, so it reproduces RetrievalEngine bit for bit; under
+/// the sharded engine, remote candidate lists merge exactly as local
+/// ones.
 ///
 /// Deadlines cross the wire as REMAINING budget: each RPC computes
 /// options.deadline - now at send time, the server re-anchors against
@@ -74,14 +75,23 @@ class RemoteRetrievalBackend : public RetrievalBackend {
       const RetrievalRequest& request) const override;
 
   /// The pipeline over a batch: embeds client-side, then one kScan per
-  /// query (in parallel across options.num_threads), refines locally.
+  /// query group (one group unless options.num_threads splits it),
+  /// refines locally.
   StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
       const std::vector<DxToDatabaseFn>& queries,
       const RetrievalOptions& options) const override;
 
-  /// Ships the embedded query; returns the remote backend's top-p.
+  /// ScanCandidatesBatch of one query.
   StatusOr<ScanCandidatesResult> ScanCandidates(
       const Vector& embedded_query,
+      const RetrievalOptions& options) const override;
+
+  /// Ships the embedded queries in one kScan frame (a batch too large for
+  /// one frame is split, see kMaxScanCandidatesPerFrame) and returns the
+  /// remote backend's top-p for each, scanned in one pass over one
+  /// snapshot.  The first failed frame fails the batch.
+  StatusOr<std::vector<ScanCandidatesResult>> ScanCandidatesBatch(
+      const std::vector<Vector>& embedded_queries,
       const RetrievalOptions& options) const override;
 
   /// Embeds client-side, ships the row (kInsert).
@@ -97,11 +107,11 @@ class RemoteRetrievalBackend : public RetrievalBackend {
   uint16_t port() const { return port_; }
 
  private:
-  /// The kScan RPC; a non-null `trace` asks the server for its spans and
-  /// grafts them under this call's start.
-  StatusOr<ScanCandidatesResult> Scan(const Vector& embedded_query,
-                                      const RetrievalOptions& options,
-                                      obs::RequestTrace* trace) const;
+  /// The kScan RPCs of a batch; a non-null `trace` asks the server for
+  /// its spans and grafts them under each call's start.
+  StatusOr<std::vector<ScanCandidatesResult>> Scan(
+      const std::vector<Vector>& embedded_queries,
+      const RetrievalOptions& options, obs::RequestTrace* trace) const;
   /// One RPC: checkout/dial, send, receive, decode, return-to-pool.
   /// Applies the deadline budget from options and the read-retry policy.
   StatusOr<WireResponse> Call(WireRequest request) const;

@@ -153,21 +153,37 @@ WireResponse RetrievalServer::Handle(const WireRequest& request) {
           std::this_thread::sleep_for(options_.debug_delay);
         }
       }
-      uint64_t span_start = obs::TraceNowNs(trace.get());
-      auto scan = backend_->ScanCandidates(request.query, options);
-      if (scan.ok()) {
-        ScanCandidatesResult result = std::move(scan).value();
-        response.neighbors = std::move(result.candidates);
-        response.rows = result.rows;
-        response.rows_pruned = result.rows_pruned;
-        obs::TraceMark(trace.get(), "server_scan", span_start,
-                       {obs::TraceArg{
-                           "candidates",
-                           static_cast<int64_t>(response.neighbors.size()),
-                           nullptr}});
-      } else {
-        status = scan.status();
+      // The decoder guarantees num_queries >= 1 divides the values.
+      const size_t b = static_cast<size_t>(request.num_queries);
+      const size_t d = request.query.size() / b;
+      std::vector<Vector> queries(b);
+      for (size_t i = 0; i < b; ++i) {
+        queries[i].assign(request.query.begin() + i * d,
+                          request.query.begin() + (i + 1) * d);
       }
+      uint64_t span_start = obs::TraceNowNs(trace.get());
+      auto scan = backend_->ScanCandidatesBatch(queries, options);
+      if (!scan.ok()) {
+        status = scan.status();
+        break;
+      }
+      // One pass pins one snapshot, so the batch shares its row count.
+      if (!scan->empty()) response.rows = scan->front().rows;
+      response.lists.reserve(scan->size());
+      for (ScanCandidatesResult& result : *scan) {
+        response.lists.push_back(
+            {result.candidates.size(), result.rows_pruned});
+        response.rows_pruned += result.rows_pruned;
+        response.neighbors.insert(response.neighbors.end(),
+                                  result.candidates.begin(),
+                                  result.candidates.end());
+      }
+      obs::TraceMark(
+          trace.get(), "server_scan", span_start,
+          {obs::TraceArg{"queries", static_cast<int64_t>(b), nullptr},
+           obs::TraceArg{"candidates",
+                         static_cast<int64_t>(response.neighbors.size()),
+                         nullptr}});
       break;
     }
     case WireOp::kInsert:

@@ -23,8 +23,9 @@ namespace net {
 struct RetrievalServerOptions {
   TransportOptions transport;
   /// Fault injection for tests and the bench harness: every Nth kScan
-  /// (per server, 0 = never) sleeps debug_delay before scanning —
-  /// deterministic tail latency that hedged reads must win against.
+  /// frame (per server, 0 = never; a frame carries a whole batch) sleeps
+  /// debug_delay before scanning — deterministic tail latency that
+  /// hedged reads must win against.
   size_t debug_delay_every_n = 0;
   std::chrono::milliseconds debug_delay{0};
 };
@@ -36,8 +37,9 @@ struct RetrievalServerOptions {
 /// time), and keeps every kernel wait bounded by the transport timeouts.
 ///
 /// Request handling:
-///  * kScan     -> backend->ScanCandidates (candidates already carry
-///                 database ids).
+///  * kScan     -> backend->ScanCandidatesBatch over the frame's B
+///                 queries, one pass (candidates already carry database
+///                 ids).
 ///  * kInsert   -> backend->InsertEmbedded (the row was embedded
 ///                 client-side).
 ///  * kRemove   -> backend->Remove.

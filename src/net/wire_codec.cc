@@ -59,6 +59,7 @@ std::string EncodeRequest(const WireRequest& request) {
   w.WriteU8(static_cast<uint8_t>(request.options.filter_precision));
   w.WriteString(request.options.tenant_id);
   w.WriteU64(request.db_id);
+  w.WriteU64(request.num_queries);
   w.WriteDoubleVec(request.query);
   return out.str();
 }
@@ -107,7 +108,20 @@ Status DecodeRequest(const std::string& payload, WireRequest* out) {
   out->options.filter_precision = static_cast<FilterPrecision>(precision);
   QSE_RETURN_IF_ERROR(r.ReadString(&out->options.tenant_id, kMaxWireTenantId));
   QSE_RETURN_IF_ERROR(r.ReadU64(&out->db_id));
-  QSE_RETURN_IF_ERROR(r.ReadDoubleVec(&out->query, kMaxWireDims));
+  // A query is at least one double (the vector's length prefix covers a
+  // lone empty one), so a count the frame cannot hold fails here, before
+  // anything is allocated.
+  QSE_RETURN_IF_ERROR(r.ReadU64(&out->num_queries));
+  const uint64_t b = out->num_queries;
+  if (b == 0 || b > kMaxWireQueries || b > r.remaining() / 8) {
+    return Status::DataLoss("query count implausible: " + std::to_string(b));
+  }
+  QSE_RETURN_IF_ERROR(r.ReadDoubleVec(&out->query, b * kMaxWireDims));
+  if (out->query.size() % b != 0) {
+    return Status::DataLoss(std::to_string(out->query.size()) +
+                            " query values do not split into " +
+                            std::to_string(b) + " queries");
+  }
   return RequireExhausted(r);
 }
 
@@ -117,20 +131,24 @@ std::string EncodeResponse(const WireResponse& response) {
   WritePreamble(&w, kResponseTag);
   w.WriteU8(static_cast<uint8_t>(response.code));
   w.WriteString(response.message);
-  w.WriteU64(response.exact_distances);
-  w.WriteU64(response.embedding_distances);
   w.WriteU64(response.rows);
-  w.WriteU64(response.rows_pruned);
   w.WriteU64(response.db_size);
-  w.WriteU64(response.neighbors.size());
+  // A one-query answer may leave `lists` empty: it travels as one list.
+  std::vector<WireScanList> one_list;
+  if (response.lists.empty() &&
+      (!response.neighbors.empty() || response.rows_pruned != 0)) {
+    one_list.push_back({response.neighbors.size(), response.rows_pruned});
+  }
+  const std::vector<WireScanList>& lists =
+      response.lists.empty() ? one_list : response.lists;
+  w.WriteU64(lists.size());
+  for (const WireScanList& list : lists) {
+    w.WriteU64(list.size);
+    w.WriteU64(list.rows_pruned);
+  }
   for (const ScoredIndex& n : response.neighbors) {
     w.WriteU64(n.index);
     w.WriteDouble(n.score);
-  }
-  w.WriteU64(response.shard_stats.size());
-  for (const ShardScanStats& s : response.shard_stats) {
-    w.WriteU64(s.rows);
-    w.WriteU64(s.candidates);
   }
   w.WriteU64(response.spans.size());
   for (const WireSpan& s : response.spans) {
@@ -158,18 +176,36 @@ Status DecodeResponse(const std::string& payload, WireResponse* out) {
   }
   out->code = static_cast<StatusCode>(code);
   QSE_RETURN_IF_ERROR(r.ReadString(&out->message, kMaxWireMessage));
-  QSE_RETURN_IF_ERROR(r.ReadU64(&out->exact_distances));
-  QSE_RETURN_IF_ERROR(r.ReadU64(&out->embedding_distances));
   QSE_RETURN_IF_ERROR(r.ReadU64(&out->rows));
-  QSE_RETURN_IF_ERROR(r.ReadU64(&out->rows_pruned));
   QSE_RETURN_IF_ERROR(r.ReadU64(&out->db_size));
 
   // Repeated groups: validate each count against both its plausibility
   // cap and the bytes still in the frame before reserving anything.
+  uint64_t num_lists = 0;
+  QSE_RETURN_IF_ERROR(r.ReadU64(&num_lists));
+  if (num_lists > kMaxWireQueries || num_lists > r.remaining() / 16) {
+    return Status::DataLoss("candidate list count implausible: " +
+                            std::to_string(num_lists));
+  }
+  out->lists.clear();
+  out->lists.reserve(num_lists);
+  out->rows_pruned = 0;
   uint64_t num_neighbors = 0;
-  QSE_RETURN_IF_ERROR(r.ReadU64(&num_neighbors));
-  if (num_neighbors > kMaxWireNeighbors ||
-      num_neighbors > r.remaining() / 16) {
+  for (uint64_t i = 0; i < num_lists; ++i) {
+    WireScanList list;
+    QSE_RETURN_IF_ERROR(r.ReadU64(&list.size));
+    QSE_RETURN_IF_ERROR(r.ReadU64(&list.rows_pruned));
+    // Capping each size keeps the running sum far from overflow.
+    if (list.size > kMaxWireNeighbors ||
+        (num_neighbors += list.size) > kMaxWireNeighbors) {
+      return Status::DataLoss("neighbor count implausible: " +
+                              std::to_string(list.size) + " in list " +
+                              std::to_string(i));
+    }
+    out->rows_pruned += list.rows_pruned;
+    out->lists.push_back(list);
+  }
+  if (num_neighbors > r.remaining() / 16) {
     return Status::DataLoss("neighbor count implausible: " +
                             std::to_string(num_neighbors));
   }
@@ -181,22 +217,6 @@ Status DecodeResponse(const std::string& payload, WireResponse* out) {
     QSE_RETURN_IF_ERROR(r.ReadU64(&index));
     QSE_RETURN_IF_ERROR(r.ReadDouble(&score));
     out->neighbors.push_back({static_cast<size_t>(index), score});
-  }
-
-  uint64_t num_stats = 0;
-  QSE_RETURN_IF_ERROR(r.ReadU64(&num_stats));
-  if (num_stats > kMaxWireShardStats || num_stats > r.remaining() / 16) {
-    return Status::DataLoss("shard stat count implausible: " +
-                            std::to_string(num_stats));
-  }
-  out->shard_stats.clear();
-  out->shard_stats.reserve(num_stats);
-  for (uint64_t i = 0; i < num_stats; ++i) {
-    uint64_t rows = 0, candidates = 0;
-    QSE_RETURN_IF_ERROR(r.ReadU64(&rows));
-    QSE_RETURN_IF_ERROR(r.ReadU64(&candidates));
-    out->shard_stats.push_back(
-        {static_cast<size_t>(rows), static_cast<size_t>(candidates)});
   }
 
   uint64_t num_spans = 0;

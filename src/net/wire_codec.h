@@ -12,7 +12,7 @@
 namespace qse {
 namespace net {
 
-/// The QSE wire protocol, version 1.
+/// The QSE wire protocol, version 2.
 ///
 /// Every message travels as one length-prefixed frame
 /// (`[u32 length][payload]`, Socket::SendFrame/RecvFrame) whose payload
@@ -34,8 +34,12 @@ namespace net {
 /// unacceptable content (bad magic, unknown version or op, out-of-range
 /// enums) is kInvalidArgument.  A decoder never crashes and never
 /// allocates more than the frame it was handed.
+///
+/// Version 2 made kScan batched (one frame carries B >= 1 queries and
+/// answers B candidate lists) and dropped the version-1 response fields
+/// no op filled; a version-1 frame is refused as an unsupported version.
 inline constexpr uint32_t kWireMagic = 0x57455351u;  // "QSEW" little-endian
-inline constexpr uint16_t kWireVersion = 1;
+inline constexpr uint16_t kWireVersion = 2;
 
 /// Frames a conforming peer may send; anything larger is a framing error
 /// (kDataLoss) and the connection is dropped without allocating.
@@ -46,19 +50,26 @@ inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 /// balloon memory).
 inline constexpr uint64_t kMaxWireDims = 1u << 20;
 inline constexpr uint64_t kMaxWireNeighbors = 1u << 22;
-inline constexpr uint64_t kMaxWireShardStats = 1u << 16;
+inline constexpr uint64_t kMaxWireQueries = 1u << 16;
 inline constexpr uint64_t kMaxWireSpans = 8192;
 inline constexpr uint64_t kMaxWireSpanName = 256;
 inline constexpr uint64_t kMaxWireTenantId = 4096;
 inline constexpr uint64_t kMaxWireMessage = 1u << 16;
 
+/// Most candidates (queries x p) a client asks one kScan frame for, at
+/// 16 bytes each half a frame: a larger batch is split across frames, so
+/// no response can outgrow kMaxFrameBytes.
+inline constexpr uint64_t kMaxScanCandidatesPerFrame = kMaxFrameBytes / 32;
+
 /// Request operations.
 enum class WireOp : uint16_t {
-  /// Filter-only scan of the server's backend: `query` is the EMBEDDED
-  /// query, the response carries the backend's top-p as (db id, filter
-  /// score).  The client refines with its own dx — the closure that
-  /// cannot cross the wire — so a scatter over kScan shards is
-  /// bit-identical to the in-process sharded engine.
+  /// Filter-only scan of the server's backend for a batch: `query`
+  /// holds `num_queries` EMBEDDED queries, the response one candidate
+  /// list per query, each the backend's top-p as (db id, filter score),
+  /// all from one pass over one pinned snapshot.  The client refines
+  /// with its own dx — the closure that cannot cross the wire — so a
+  /// scatter over kScan shards is bit-identical to the in-process
+  /// sharded engine.
   kScan = 1,
   // Tag 2 is retired (a server-side full retrieval op) and decodes as
   // an unknown op.
@@ -92,8 +103,19 @@ struct WireRequest {
   RetrievalOptions options;
   /// kInsert / kRemove target.
   uint64_t db_id = 0;
-  /// kScan: embedded query; kInsert: embedded row.
+  /// kScan: how many embedded queries `query` holds, back to back, each
+  /// of query.size() / num_queries dims.  Other ops send 1.
+  uint64_t num_queries = 1;
+  /// kScan: the embedded queries; kInsert: the embedded row.
   std::vector<double> query;
+};
+
+/// One candidate list of a kScan response.
+struct WireScanList {
+  /// Candidates of this list in WireResponse::neighbors.
+  uint64_t size = 0;
+  /// ScanCandidatesResult::rows_pruned of this query's scan.
+  uint64_t rows_pruned = 0;
 };
 
 /// One server-side span, times in ns relative to the SERVER's receipt of
@@ -114,15 +136,18 @@ struct WireSpan {
 struct WireResponse {
   StatusCode code = StatusCode::kOk;
   std::string message;
-  /// kScan: the filter top-p candidates.
+  /// kScan: the filter top-p candidates of every query, list after list
+  /// in request order.
   std::vector<ScoredIndex> neighbors;
-  /// Refined-retrieval fields of the version-1 layout; no current op
-  /// fills them, and they still round-trip.
-  uint64_t exact_distances = 0;
-  uint64_t embedding_distances = 0;
-  std::vector<ShardScanStats> shard_stats;
-  /// kScan accounting (ScanCandidatesResult::rows / rows_pruned).
+  /// kScan: one entry per query, splitting `neighbors`.  Left empty
+  /// while `neighbors` or `rows_pruned` is not, the encoder sends those
+  /// as one list (a one-query answer); the decoder fills it from the
+  /// frame.
+  std::vector<WireScanList> lists;
+  /// kScan: rows of the one snapshot the batch's pass scanned
+  /// (ScanCandidatesResult::rows, shared by every query).
   uint64_t rows = 0;
+  /// kScan: rows_pruned summed over `lists`.
   uint64_t rows_pruned = 0;
   /// kInfo, and piggybacked on successful mutations.
   uint64_t db_size = 0;

@@ -22,12 +22,13 @@ constexpr size_t kTileBytes = 512 * 1024;
 /// `make_lane(j)`, is called as lane(i, threshold): it scores row i with
 /// the scorer's kernel and may stop early — returning any value strictly
 /// greater than `threshold` — once its running partial sum provably
-/// exceeds it.  Partial sums are monotone non-decreasing (non-negative
-/// terms), so an abandoned row's true score also exceeds the threshold
-/// and Offer() rejects it; completed rows return scores bit-identical to
-/// Score()'s (the dispatched kernels hold the span kernels' lane
-/// discipline, see src/distance/simd/kernels.h), and BoundedTopK breaks
-/// ties by row index exactly like SmallestK.
+/// exceeds it (a lane whose terms can be negative ignores the threshold
+/// and always completes).  Partial sums are monotone non-decreasing
+/// (non-negative terms), so an abandoned row's true score also exceeds
+/// the threshold and Offer() rejects it; completed rows return scores
+/// bit-identical to Score()'s (the dispatched kernels hold the span
+/// kernels' lane discipline, see src/distance/simd/kernels.h), and
+/// BoundedTopK breaks ties by row index exactly like SmallestK.
 ///
 /// Rows stream in tiles of kTileBytes / row_bytes rows, each scored by
 /// every query before the next loads.  A query still visits the rows in
@@ -202,24 +203,17 @@ std::vector<ScoredIndex> FilterScorer::ScoreTopPAsBatch(
   return std::move(best[0]);
 }
 
-void QuerySensitiveScorer::ScoreWithWeights(const Vector& weights,
-                                            const Vector& embedded_query,
-                                            const EmbeddedDatabase::View& db,
-                                            std::vector<double>* scores) {
+void QuerySensitiveScorer::Score(const Vector& embedded_query,
+                                 const EmbeddedDatabase::View& db,
+                                 std::vector<double>* scores) const {
   const size_t d = db.dims();
   QSE_CHECK(embedded_query.size() == d);
+  const Vector weights = model_->QueryWeights(embedded_query);
   scores->resize(db.size());
   for (size_t i = 0; i < db.size(); ++i) {
     (*scores)[i] = WeightedL1DistanceSpan(embedded_query.data(), db.row(i),
                                           weights.data(), d);
   }
-}
-
-void QuerySensitiveScorer::Score(const Vector& embedded_query,
-                                 const EmbeddedDatabase::View& db,
-                                 std::vector<double>* scores) const {
-  ScoreWithWeights(model_->QueryWeights(embedded_query), embedded_query, db,
-                   scores);
 }
 
 std::vector<ScoredIndex> QuerySensitiveScorer::ScoreTopP(
@@ -234,81 +228,83 @@ std::vector<std::vector<ScoredIndex>> QuerySensitiveScorer::ScoreTopPBatch(
     std::vector<FilterScanStats>* scan_stats) const {
   const size_t m = embedded_queries.size();
   const size_t d = db.dims();
+  CheckQueryDims(embedded_queries, d);
+  // A_i(q) sums AdaBoost alphas, which MinimizeZ may drive negative.
+  // Early abandon and the reduced-precision envelopes are only sound for
+  // non-negative terms, so a query with a negative weight gets an exact
+  // lane that ignores the threshold: it never abandons, and every score
+  // it completes is wl1_f64 at +inf, Score()'s own kernel call, so its
+  // top p is SmallestK(Score(q), p).  At a reduced precision such
+  // queries keep those exact float64 scores in a pass of their own.
+  std::vector<Vector> weights(m);
+  std::vector<char> unbounded(m, 0);
+  std::vector<size_t> exact, shadow;
+  for (size_t j = 0; j < m; ++j) {
+    weights[j] = model_->QueryWeights(embedded_queries[j]);
+    unbounded[j] = std::any_of(weights[j].begin(), weights[j].end(),
+                               [](double w) { return w < 0.0; });
+    const bool exact_lane =
+        precision == FilterPrecision::kExact64 || unbounded[j] != 0;
+    (exact_lane ? exact : shadow).push_back(j);
+  }
+  const simd::KernelTable* k = simd::ActiveKernels();
+  auto exact_lane = [&](size_t j) {
+    return [q = embedded_queries[j].data(), w = weights[j].data(),
+            unbounded = unbounded[j] != 0, k, &db,
+            d](size_t i, double threshold) {
+      return k->wl1_f64(q, db.row(i), w, d,
+                        unbounded ? std::numeric_limits<double>::infinity()
+                                  : threshold);
+    };
+  };
+  auto f32_lane = [&](size_t j) {
+    const double* q = embedded_queries[j].data();
+    const double* w = weights[j].data();
+    return WidenedLane(
+        F32BoundWeightedL1(w, q, d),
+        [qf = ToFloat(q, d), wf = ToFloat(w, d), k, &db, d](size_t i,
+                                                            float widened) {
+          return k->wl1_f32(qf.data(), db.row_f32(i), wf.data(), d, widened);
+        });
+  };
+  auto i8_lane = [&](size_t j) {
+    const double* q = embedded_queries[j].data();
+    const double* w = weights[j].data();
+    const float* s = db.i8_scales();
+    std::vector<int8_t> qq = QuantizeQuery(q, s, d);
+    // Coefficients fold weight and dequantization scale: the kernel's
+    // c_j * |qq_j - rq_j| then approximates w_j * |q_j - r_j|.
+    std::vector<float> c(d);
+    for (size_t jj = 0; jj < d; ++jj) {
+      c[jj] = static_cast<float>(w[jj] * static_cast<double>(s[jj]));
+    }
+    ReducedPrecisionBound bound = I8BoundWeightedL1(w, q, qq.data(), s, d);
+    return WidenedLane(bound, [qq = std::move(qq), c = std::move(c), k, &db,
+                               d](size_t i, float widened) {
+      PrefetchI8Ahead(db, i);
+      return k->wl1_i8(qq.data(), db.row_i8(i), c.data(), d, widened);
+    });
+  };
+
   std::vector<std::vector<ScoredIndex>> best(m);
   std::vector<FilterScanStats> stats(m);
-  // A_i(q) sums AdaBoost alphas, which MinimizeZ may in principle drive
-  // negative; early abandon (and the reduced-precision envelopes) are
-  // only sound for non-negative terms, so verify once per query.  A
-  // query with a negative weight takes the unpruned exact scan on its
-  // own; the rest share the tiled pass.
-  std::vector<Vector> weights(m);
-  std::vector<size_t> tiled;
-  for (size_t j = 0; j < m; ++j) {
-    const Vector& query = embedded_queries[j];
-    weights[j] = model_->QueryWeights(query);
-    QSE_CHECK(query.size() == d);
-    if (std::all_of(weights[j].begin(), weights[j].end(),
-                    [](double w) { return w >= 0.0; })) {
-      tiled.push_back(j);
-      continue;
+  // One tiled pass per group; group[t] is the batch index of lane t.
+  auto scan = [&](const std::vector<size_t>& group, FilterPrecision at) {
+    if (group.empty()) return;
+    auto pick = [&group](const auto& make_lane) {
+      return [&group, &make_lane](size_t t) { return make_lane(group[t]); };
+    };
+    std::vector<FilterScanStats> group_stats;
+    std::vector<std::vector<ScoredIndex>> group_best =
+        TiledTopPAt(db, group.size(), p, at, pick(exact_lane), pick(f32_lane),
+                    pick(i8_lane), &group_stats);
+    for (size_t t = 0; t < group.size(); ++t) {
+      best[group[t]] = std::move(group_best[t]);
+      stats[group[t]] = group_stats[t];
     }
-    // Reuses the weights computed above instead of paying a second
-    // A_i(q) evaluation inside Score().
-    std::vector<double> scores;
-    ScoreWithWeights(weights[j], query, db, &scores);
-    best[j] = SmallestK(scores, p);
-    stats[j] = FilterScanStats{db.size(), db.size() - best[j].size()};
-  }
-  if (!tiled.empty()) {
-    const simd::KernelTable* k = simd::ActiveKernels();
-    auto query_of = [&](size_t t) { return embedded_queries[tiled[t]].data(); };
-    auto weights_of = [&](size_t t) { return weights[tiled[t]].data(); };
-    std::vector<FilterScanStats> tiled_stats;
-    std::vector<std::vector<ScoredIndex>> tiled_best = TiledTopPAt(
-        db, tiled.size(), p, precision,
-        [&](size_t t) {
-          return [q = query_of(t), w = weights_of(t), k, &db, d](
-                     size_t i, double threshold) {
-            return k->wl1_f64(q, db.row(i), w, d, threshold);
-          };
-        },
-        [&](size_t t) {
-          const double* q = query_of(t);
-          const double* w = weights_of(t);
-          return WidenedLane(
-              F32BoundWeightedL1(w, q, d),
-              [qf = ToFloat(q, d), wf = ToFloat(w, d), k, &db, d](
-                  size_t i, float widened) {
-                return k->wl1_f32(qf.data(), db.row_f32(i), wf.data(), d,
-                                  widened);
-              });
-        },
-        [&](size_t t) {
-          const double* q = query_of(t);
-          const double* w = weights_of(t);
-          const float* s = db.i8_scales();
-          std::vector<int8_t> qq = QuantizeQuery(q, s, d);
-          // Coefficients fold weight and dequantization scale: the
-          // kernel's c_j * |qq_j - rq_j| then approximates
-          // w_j * |q_j - r_j|.
-          std::vector<float> c(d);
-          for (size_t j = 0; j < d; ++j) {
-            c[j] = static_cast<float>(w[j] * static_cast<double>(s[j]));
-          }
-          ReducedPrecisionBound bound =
-              I8BoundWeightedL1(w, q, qq.data(), s, d);
-          return WidenedLane(bound, [qq = std::move(qq), c = std::move(c), k,
-                                     &db, d](size_t i, float widened) {
-            PrefetchI8Ahead(db, i);
-            return k->wl1_i8(qq.data(), db.row_i8(i), c.data(), d, widened);
-          });
-        },
-        &tiled_stats);
-    for (size_t t = 0; t < tiled.size(); ++t) {
-      best[tiled[t]] = std::move(tiled_best[t]);
-      stats[tiled[t]] = tiled_stats[t];
-    }
-  }
+  };
+  scan(exact, FilterPrecision::kExact64);
+  scan(shadow, precision);
   if (scan_stats != nullptr) *scan_stats = std::move(stats);
   return best;
 }

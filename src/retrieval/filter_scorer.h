@@ -46,8 +46,9 @@ class FilterScorer {
   /// over the flat buffer with early-abandon pruning: a row is dropped as
   /// soon as its partial sum exceeds the running p-th-best threshold.
   /// Valid for kernels with non-negative per-dimension terms (all three
-  /// here; the query-sensitive scorer verifies its weights and falls back
-  /// to a full scan if any are negative).
+  /// here; the query-sensitive scorer verifies its weights, and a query
+  /// with a negative one scores every row in full at float64 inside the
+  /// same tiled pass, whatever the precision).
   ///
   /// Reduced precisions scan the view's shadow matrix instead (the view
   /// must carry it — the engines verify availability and fail the
@@ -120,13 +121,6 @@ class QuerySensitiveScorer : public FilterScorer {
       std::vector<FilterScanStats>* scan_stats = nullptr) const override;
 
  private:
-  /// The scan with A_i(q) already evaluated; both public entry points
-  /// funnel here so the weights are computed exactly once per query.
-  static void ScoreWithWeights(const Vector& weights,
-                               const Vector& embedded_query,
-                               const EmbeddedDatabase::View& db,
-                               std::vector<double>* scores);
-
   const QuerySensitiveEmbedding* model_;
 };
 

@@ -263,9 +263,10 @@ class RetrievalBackend {
   /// first error fails the batch.  A local engine answers from one
   /// pinned snapshot in one pass over its rows (FilterScorer::
   /// ScoreTopPBatch) and, when `options.audit_monitor` is set, hands
-  /// that one snapshot back in every result.  Default: ScanCandidates
-  /// per query, for backends whose rows are not local (remote stubs,
-  /// replica sets).
+  /// that one snapshot back in every result; the remote stub sends the
+  /// batch as one kScan frame, which its server answers the same way,
+  /// and a replica set hedges the whole batch.  Default: ScanCandidates
+  /// per query, for decorators that forward only ScanCandidates.
   virtual StatusOr<std::vector<ScanCandidatesResult>> ScanCandidatesBatch(
       const std::vector<Vector>& embedded_queries,
       const RetrievalOptions& options) const;

@@ -1,8 +1,10 @@
 // Wire codec tests: envelope round-trip fidelity (bit-identical doubles,
-// empty and want_stats edge cases) plus fuzz-ish robustness — truncation
-// at every byte boundary, oversized length prefixes, version/magic
-// mismatch, and seeded random garbage must yield kInvalidArgument or
-// kDataLoss, never a crash and never an allocation beyond the frame.
+// empty and want_stats edge cases, batched kScan frames at B in
+// {1, 3, 16} and the hand-built one-query frame) plus fuzz-ish
+// robustness — truncation at every byte boundary, oversized length
+// prefixes and batch counts, version/magic mismatch, and seeded random
+// garbage must yield kInvalidArgument or kDataLoss, never a crash and
+// never an allocation beyond the frame.
 #include "src/net/wire_codec.h"
 
 #include <gtest/gtest.h>
@@ -43,14 +45,53 @@ WireResponse MakeResponse() {
   WireResponse response;
   response.code = StatusCode::kOk;
   response.neighbors = {{41, 0.125}, {7, 0.25}, {1ull << 40, 1e-300}};
-  response.exact_distances = 123;
-  response.embedding_distances = 17;
-  response.shard_stats = {{100, 3}, {50, 0}};
+  response.lists = {{2, 31}, {1, 0}};
   response.rows = 150;
   response.rows_pruned = 31;
   response.db_size = 150;
   response.spans = {{"server_scan", 100, 2000, 1}, {"filter", 150, 800, 2}};
   return response;
+}
+
+/// A kScan frame of `b` queries of `d` dims each, every value distinct.
+WireRequest MakeBatchRequest(size_t b, size_t d) {
+  WireRequest request = MakeRequest();
+  request.op = WireOp::kScan;
+  request.num_queries = b;
+  request.query.clear();
+  for (size_t i = 0; i < b * d; ++i) {
+    request.query.push_back(i % 2 == 0 ? 0.5 * static_cast<double>(i)
+                                       : -1.0 / static_cast<double>(i));
+  }
+  return request;
+}
+
+/// Its answer: list q holds q % 4 candidates (empty lists included).
+WireResponse MakeBatchResponse(size_t b) {
+  WireResponse response;
+  response.rows = 1000;
+  response.db_size = 1000;
+  for (size_t q = 0; q < b; ++q) {
+    const size_t size = q % 4;
+    response.lists.push_back({size, 7 * q});
+    response.rows_pruned += 7 * q;
+    for (size_t c = 0; c < size; ++c) {
+      response.neighbors.push_back(
+          {100 * q + c, 0.25 * static_cast<double>(c) - 1e-300});
+    }
+  }
+  return response;
+}
+
+void ExpectSameBits(const std::vector<double>& got,
+                    const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    uint64_t want_bits = 0, got_bits = 0;
+    std::memcpy(&want_bits, &want[i], 8);
+    std::memcpy(&got_bits, &got[i], 8);
+    EXPECT_EQ(got_bits, want_bits) << "value " << i;
+  }
 }
 
 TEST(WireCodecTest, RequestRoundTripIsExact) {
@@ -94,12 +135,10 @@ TEST(WireCodecTest, ResponseRoundTripIsExact) {
     std::memcpy(&got_bits, &got.neighbors[i].score, 8);
     EXPECT_EQ(got_bits, want_bits) << "neighbor " << i;
   }
-  EXPECT_EQ(got.exact_distances, want.exact_distances);
-  EXPECT_EQ(got.embedding_distances, want.embedding_distances);
-  ASSERT_EQ(got.shard_stats.size(), want.shard_stats.size());
-  for (size_t i = 0; i < want.shard_stats.size(); ++i) {
-    EXPECT_EQ(got.shard_stats[i].rows, want.shard_stats[i].rows);
-    EXPECT_EQ(got.shard_stats[i].candidates, want.shard_stats[i].candidates);
+  ASSERT_EQ(got.lists.size(), want.lists.size());
+  for (size_t i = 0; i < want.lists.size(); ++i) {
+    EXPECT_EQ(got.lists[i].size, want.lists[i].size);
+    EXPECT_EQ(got.lists[i].rows_pruned, want.lists[i].rows_pruned);
   }
   EXPECT_EQ(got.rows, want.rows);
   EXPECT_EQ(got.rows_pruned, want.rows_pruned);
@@ -121,7 +160,7 @@ TEST(WireCodecTest, EmptyEnvelopesRoundTrip) {
   ASSERT_TRUE(DecodeResponse(EncodeResponse(empty), &got).ok());
   EXPECT_EQ(got.code, StatusCode::kOk);
   EXPECT_TRUE(got.neighbors.empty());
-  EXPECT_TRUE(got.shard_stats.empty());
+  EXPECT_TRUE(got.lists.empty());
   EXPECT_TRUE(got.spans.empty());
   EXPECT_EQ(got.rows, 0u);
 
@@ -152,23 +191,27 @@ TEST(WireCodecTest, EveryStatusCodeSurvivesTheWire) {
 }
 
 TEST(WireCodecTest, TruncationAtEveryBoundaryIsAnError) {
-  const std::string request = EncodeRequest(MakeRequest());
-  for (size_t len = 0; len < request.size(); ++len) {
-    WireRequest out;
-    Status status = DecodeRequest(request.substr(0, len), &out);
-    ASSERT_FALSE(status.ok()) << "prefix length " << len;
-    EXPECT_TRUE(status.code() == StatusCode::kDataLoss ||
-                status.code() == StatusCode::kInvalidArgument)
-        << "prefix length " << len << ": " << status.message();
+  for (const WireRequest& frame : {MakeRequest(), MakeBatchRequest(3, 4)}) {
+    const std::string request = EncodeRequest(frame);
+    for (size_t len = 0; len < request.size(); ++len) {
+      WireRequest out;
+      Status status = DecodeRequest(request.substr(0, len), &out);
+      ASSERT_FALSE(status.ok()) << "prefix length " << len;
+      EXPECT_TRUE(status.code() == StatusCode::kDataLoss ||
+                  status.code() == StatusCode::kInvalidArgument)
+          << "prefix length " << len << ": " << status.message();
+    }
   }
-  const std::string response = EncodeResponse(MakeResponse());
-  for (size_t len = 0; len < response.size(); ++len) {
-    WireResponse out;
-    Status status = DecodeResponse(response.substr(0, len), &out);
-    ASSERT_FALSE(status.ok()) << "prefix length " << len;
-    EXPECT_TRUE(status.code() == StatusCode::kDataLoss ||
-                status.code() == StatusCode::kInvalidArgument)
-        << "prefix length " << len << ": " << status.message();
+  for (const WireResponse& frame : {MakeResponse(), MakeBatchResponse(6)}) {
+    const std::string response = EncodeResponse(frame);
+    for (size_t len = 0; len < response.size(); ++len) {
+      WireResponse out;
+      Status status = DecodeResponse(response.substr(0, len), &out);
+      ASSERT_FALSE(status.ok()) << "prefix length " << len;
+      EXPECT_TRUE(status.code() == StatusCode::kDataLoss ||
+                  status.code() == StatusCode::kInvalidArgument)
+          << "prefix length " << len << ": " << status.message();
+    }
   }
 }
 
@@ -274,6 +317,7 @@ TEST(WireCodecTest, OversizedLengthPrefixesNeverAllocate) {
   w.WriteU8(0);   // precision
   w.WriteString("");
   w.WriteU64(0);            // db_id
+  w.WriteU64(1);            // num_queries
   w.WriteU64(1ull << 60);   // query length prefix, then nothing
   WireRequest req;
   EXPECT_EQ(DecodeRequest(out.str(), &req).code(), StatusCode::kDataLoss);
@@ -286,8 +330,9 @@ TEST(WireCodecTest, OversizedLengthPrefixesNeverAllocate) {
   rw.WriteU16(kResponseTag);
   rw.WriteU8(0);  // kOk
   rw.WriteString("");
-  for (int i = 0; i < 5; ++i) rw.WriteU64(0);  // counters
-  rw.WriteU64(1ull << 59);                     // neighbor count
+  for (int i = 0; i < 2; ++i) rw.WriteU64(0);  // counters
+  rw.WriteU64(1);                              // one candidate list
+  rw.WriteU64(1ull << 59);                     // its neighbor count
   WireResponse wr;
   EXPECT_EQ(DecodeResponse(resp.str(), &wr).code(), StatusCode::kDataLoss);
 }
@@ -312,6 +357,7 @@ TEST(WireCodecTest, FieldCapsAreEnforcedEvenWhenBytesMatch) {
   std::string big_tenant(kMaxWireTenantId + 1, 't');
   w.WriteString(big_tenant);
   w.WriteU64(0);
+  w.WriteU64(1);
   w.WriteDoubleVec({});
   WireRequest req;
   EXPECT_EQ(DecodeRequest(out.str(), &req).code(), StatusCode::kDataLoss);
@@ -344,12 +390,15 @@ TEST(WireCodecTest, RandomGarbageNeverCrashes) {
 
 TEST(WireCodecTest, MutatedValidFramesNeverCrash) {
   // Flip bytes in valid frames — the adversarial neighborhood of real
-  // traffic, where decoders that trust any internal length die.
+  // traffic, where decoders that trust any internal length die.  The
+  // batched frames put counts and per-list sizes in the line of fire.
   Rng rng(77);
-  const std::string request = EncodeRequest(MakeRequest());
-  const std::string response = EncodeResponse(MakeResponse());
-  for (int iter = 0; iter < 2000; ++iter) {
-    std::string mutated = (iter % 2 == 0) ? request : response;
+  const std::vector<std::string> frames = {
+      EncodeRequest(MakeRequest()), EncodeResponse(MakeResponse()),
+      EncodeRequest(MakeBatchRequest(3, 4)),
+      EncodeResponse(MakeBatchResponse(6))};
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string mutated = frames[static_cast<size_t>(iter) % frames.size()];
     const int flips = 1 + static_cast<int>(rng.UniformInt(0, 3));
     for (int f = 0; f < flips; ++f) {
       size_t pos = static_cast<size_t>(
@@ -363,6 +412,169 @@ TEST(WireCodecTest, MutatedValidFramesNeverCrash) {
     (void)DecodeRequest(mutated, &req);
     (void)DecodeResponse(mutated, &resp);
   }
+}
+
+TEST(WireCodecTest, BatchedScanRoundTripsAtEveryBatchSize) {
+  const size_t kDimsPerQuery = 5;
+  for (size_t b : {1u, 3u, 16u}) {
+    SCOPED_TRACE("B=" + std::to_string(b));
+    WireRequest want = MakeBatchRequest(b, kDimsPerQuery);
+    WireRequest got;
+    ASSERT_TRUE(DecodeRequest(EncodeRequest(want), &got).ok());
+    EXPECT_EQ(got.op, WireOp::kScan);
+    EXPECT_EQ(got.num_queries, b);
+    ExpectSameBits(got.query, want.query);
+
+    WireResponse want_response = MakeBatchResponse(b);
+    WireResponse got_response;
+    ASSERT_TRUE(
+        DecodeResponse(EncodeResponse(want_response), &got_response).ok());
+    EXPECT_EQ(got_response.neighbors, want_response.neighbors);
+    ASSERT_EQ(got_response.lists.size(), b);
+    for (size_t q = 0; q < b; ++q) {
+      EXPECT_EQ(got_response.lists[q].size, want_response.lists[q].size);
+      EXPECT_EQ(got_response.lists[q].rows_pruned,
+                want_response.lists[q].rows_pruned);
+    }
+    EXPECT_EQ(got_response.rows, want_response.rows);
+    EXPECT_EQ(got_response.rows_pruned, want_response.rows_pruned);
+  }
+}
+
+TEST(WireCodecTest, HandBuiltOneQueryScanFrameDecodes) {
+  // The shape of a one-query kScan frame built field by field, as the
+  // benchmark's codec probe does: no count and no lists set.  The count
+  // defaults to one query and the answer travels as one list.
+  WireRequest request;
+  request.op = WireOp::kScan;
+  request.options = RetrievalOptions(10, 100);
+  request.query = {0.5, -1.5, 2.25};
+  WireRequest got;
+  ASSERT_TRUE(DecodeRequest(EncodeRequest(request), &got).ok());
+  EXPECT_EQ(got.num_queries, 1u);
+  EXPECT_EQ(got.query, request.query);
+  EXPECT_EQ(got.options.p, 100u);
+
+  WireResponse response;
+  response.neighbors = {{3, 0.5}, {9, 0.75}};
+  response.rows = 40;
+  response.rows_pruned = 12;
+  WireResponse got_response;
+  ASSERT_TRUE(DecodeResponse(EncodeResponse(response), &got_response).ok());
+  EXPECT_EQ(got_response.neighbors, response.neighbors);
+  ASSERT_EQ(got_response.lists.size(), 1u);
+  EXPECT_EQ(got_response.lists[0].size, 2u);
+  EXPECT_EQ(got_response.lists[0].rows_pruned, 12u);
+  EXPECT_EQ(got_response.rows, 40u);
+  EXPECT_EQ(got_response.rows_pruned, 12u);
+}
+
+TEST(WireCodecTest, VersionOneFramesAreRefused) {
+  std::string payload = EncodeRequest(MakeRequest());
+  payload[4] = 1;  // u16 version follows the u32 magic
+  payload[5] = 0;
+  WireRequest out;
+  Status status = DecodeRequest(payload, &out);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("unsupported wire version 1"),
+            std::string::npos)
+      << status;
+  std::string response = EncodeResponse(MakeResponse());
+  response[4] = 1;
+  response[5] = 0;
+  WireResponse rout;
+  EXPECT_EQ(DecodeResponse(response, &rout).code(),
+            StatusCode::kInvalidArgument);
+}
+
+/// A kScan request frame with a hand-written count and query prefix.
+std::string ScanFrameWithCount(uint64_t num_queries, uint64_t values,
+                               size_t values_written) {
+  std::ostringstream out;
+  BinaryWriter w(&out);
+  w.WriteU32(kWireMagic);
+  w.WriteU16(kWireVersion);
+  w.WriteU16(static_cast<uint16_t>(WireOp::kScan));
+  w.WriteU64(0);  // budget
+  w.WriteU8(0);   // want_trace
+  w.WriteU64(1);  // k
+  w.WriteU64(1);  // p
+  w.WriteU64(0);  // num_threads
+  w.WriteU8(0);   // want_stats
+  w.WriteU8(0);   // priority
+  w.WriteU8(0);   // precision
+  w.WriteString("");
+  w.WriteU64(0);  // db_id
+  w.WriteU64(num_queries);
+  w.WriteU64(values);
+  for (size_t i = 0; i < values_written; ++i) w.WriteDouble(1.0);
+  return out.str();
+}
+
+/// A response frame with hand-written list headers and no neighbors.
+std::string ResponseFrameWithLists(uint64_t num_lists,
+                                   const std::vector<uint64_t>& sizes) {
+  std::ostringstream out;
+  BinaryWriter w(&out);
+  w.WriteU32(kWireMagic);
+  w.WriteU16(kWireVersion);
+  w.WriteU16(kResponseTag);
+  w.WriteU8(0);  // kOk
+  w.WriteString("");
+  w.WriteU64(0);  // rows
+  w.WriteU64(0);  // db_size
+  w.WriteU64(num_lists);
+  for (uint64_t size : sizes) {
+    w.WriteU64(size);
+    w.WriteU64(0);  // rows_pruned
+  }
+  w.WriteU64(0);  // spans
+  return out.str();
+}
+
+TEST(WireCodecTest, BatchCountsAreValidatedBeforeAllocation) {
+  WireRequest req;
+  // Sanity: the hand-built frame decodes when its counts are honest.
+  ASSERT_TRUE(DecodeRequest(ScanFrameWithCount(2, 4, 4), &req).ok());
+  EXPECT_EQ(req.num_queries, 2u);
+  // Zero queries, more than the cap, more than the frame could hold, and
+  // values that do not split evenly.
+  EXPECT_EQ(DecodeRequest(ScanFrameWithCount(0, 0, 0), &req).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeRequest(ScanFrameWithCount(kMaxWireQueries + 1, 0, 0), &req)
+                .code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeRequest(ScanFrameWithCount(1ull << 60, 4, 4), &req).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeRequest(ScanFrameWithCount(3, 4, 4), &req).code(),
+            StatusCode::kDataLoss);
+
+  WireResponse resp;
+  ASSERT_TRUE(DecodeResponse(ResponseFrameWithLists(2, {0, 0}), &resp).ok());
+  EXPECT_EQ(resp.lists.size(), 2u);
+  // A list count no frame could hold, one past the cap with honest
+  // headers, a list over the neighbor cap, lists whose sum passes it,
+  // and sizes the remaining bytes cannot back.
+  EXPECT_EQ(DecodeResponse(ResponseFrameWithLists(1ull << 59, {}), &resp)
+                .code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeResponse(ResponseFrameWithLists(
+                               kMaxWireQueries + 1,
+                               std::vector<uint64_t>(kMaxWireQueries + 1, 0)),
+                           &resp)
+                .code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeResponse(ResponseFrameWithLists(1, {kMaxWireNeighbors + 1}),
+                           &resp)
+                .code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeResponse(ResponseFrameWithLists(
+                               2, {kMaxWireNeighbors, kMaxWireNeighbors}),
+                           &resp)
+                .code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeResponse(ResponseFrameWithLists(2, {3, 0}), &resp).code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(ByteReaderTest, ScalarsAndBounds) {

@@ -373,6 +373,17 @@ RULES = [
         "batch-tiled scan B=8 per-query throughput vs B=1 (n=100k, d=256)",
         "items_per_second",
     ),
+    # The same bound for query-sensitive queries with a negative weight:
+    # they never abandon, but score inside the same tiled pass instead
+    # of a full pass each.
+    (
+        "BM_ScoreTopPBatchNegative/100000/256/1",
+        "BM_ScoreTopPBatchNegative/100000/256/8",
+        1.0 / 1.5,
+        "batch-tiled scan of negative-weight queries B=8 per-query "
+        "throughput vs B=1 (n=100k, d=256)",
+        "items_per_second",
+    ),
     # Runtime dispatch on the exact path must never lose to the seed
     # scalar scan it replaced (same math, same bits, wider registers).
     (
