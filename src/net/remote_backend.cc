@@ -1,6 +1,8 @@
 #include "src/net/remote_backend.h"
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -46,7 +48,7 @@ RemoteRetrievalBackend::RemoteRetrievalBackend(const Embedder* embedder,
   pipeline_.scan = [this](size_t, const std::vector<Vector>& embedded_queries,
                           const RetrievalOptions& options,
                           obs::RequestTrace* trace) {
-    return Scan(embedded_queries, options, trace);
+    return StartScan(embedded_queries, options, trace);
   };
   pipeline_.scan_span = "rpc_scan";
 }
@@ -79,14 +81,14 @@ StatusOr<Socket> RemoteRetrievalBackend::Dial(uint64_t deadline_budget_ns)
   }
 }
 
-StatusOr<WireResponse> RemoteRetrievalBackend::CallOnce(
+StatusOr<Socket> RemoteRetrievalBackend::SendOnce(
     const WireRequest& request, const std::string& payload) const {
   // Up to two SEND attempts: a pooled connection may have died while
   // idle (the peer restarted between requests).  A send failure on a
   // pooled socket is pre-delivery — the request never reached a live
   // connection — so retrying it over a fresh dial is safe for every op,
   // mutations included.  Failures AFTER a successful send are never
-  // retried here; Call's read-only retry policy owns those.
+  // retried here; Receive's read-only retry policy owns those.
   for (int attempt = 0;; ++attempt) {
     Socket sock;
     bool pooled = false;
@@ -131,20 +133,28 @@ StatusOr<WireResponse> RemoteRetrievalBackend::CallOnce(
       }
       return status;
     }
-    StatusOr<std::string> frame = sock.RecvFrame();
-    if (!frame.ok()) return frame.status();  // dead socket stays out of pool
-
-    WireResponse response;
-    Status decoded = DecodeResponse(frame.value(), &response);
-    if (!decoded.ok()) return decoded;  // framing broken: drop the socket
-
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    pool_.push_back(std::move(sock));
-    return response;
+    return sock;
   }
 }
 
-StatusOr<WireResponse> RemoteRetrievalBackend::Call(WireRequest request) const {
+StatusOr<WireResponse> RemoteRetrievalBackend::ReceiveOnce(
+    StatusOr<Socket> sent) const {
+  QSE_RETURN_IF_ERROR(sent.status());
+  Socket sock = std::move(sent).value();
+  StatusOr<std::string> frame = sock.RecvFrame();
+  if (!frame.ok()) return frame.status();  // dead socket stays out of pool
+
+  WireResponse response;
+  Status decoded = DecodeResponse(frame.value(), &response);
+  if (!decoded.ok()) return decoded;  // framing broken: drop the socket
+
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  pool_.push_back(std::move(sock));
+  return response;
+}
+
+RemoteRetrievalBackend::SentCall RemoteRetrievalBackend::Send(
+    WireRequest request) const {
   rpcs_total_->Increment();
   const MonotonicClock::time_point start = MonotonicClock::now();
 
@@ -153,25 +163,30 @@ StatusOr<WireResponse> RemoteRetrievalBackend::Call(WireRequest request) const {
   if (request.options.deadline != RetrievalClock::time_point::max()) {
     auto remaining = request.options.deadline - MonotonicClock::now();
     if (remaining.count() <= 0) {
-      rpc_errors_total_->Increment();
-      return Status::DeadlineExceeded("deadline expired before RPC send");
+      return {std::move(request),
+              Status::DeadlineExceeded("deadline expired before RPC send"),
+              start};
     }
     request.deadline_budget_ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(remaining)
             .count());
   }
+  StatusOr<Socket> sock = SendOnce(request, EncodeRequest(request));
+  return {std::move(request), std::move(sock), start};
+}
 
-  StatusOr<WireResponse> result = CallOnce(request, EncodeRequest(request));
-  if (!result.ok() && options_.retry_reads && IsReadOp(request.op) &&
+StatusOr<WireResponse> RemoteRetrievalBackend::Receive(SentCall call) const {
+  StatusOr<WireResponse> result = ReceiveOnce(std::move(call.sock));
+  if (!result.ok() && options_.retry_reads && IsReadOp(call.request.op) &&
       IsRetryableTransportError(result.status())) {
     rpc_retries_total_->Increment();
-    result = CallOnce(request, EncodeRequest(request));
+    result = ReceiveOnce(SendOnce(call.request, EncodeRequest(call.request)));
   }
   if (!result.ok()) {
     rpc_errors_total_->Increment();
     return result.status();
   }
-  rpc_latency_ns_->Record(NsSince(start));
+  rpc_latency_ns_->Record(NsSince(call.start));
   const WireResponse& response = result.value();
   if (response.code != StatusCode::kOk) {
     // An application-level error the server answered with; surface it
@@ -181,6 +196,10 @@ StatusOr<WireResponse> RemoteRetrievalBackend::Call(WireRequest request) const {
     return Status(response.code, response.message);
   }
   return result;
+}
+
+StatusOr<WireResponse> RemoteRetrievalBackend::Call(WireRequest request) const {
+  return Receive(Send(std::move(request)));
 }
 
 StatusOr<ScanCandidatesResult> RemoteRetrievalBackend::ScanCandidates(
@@ -195,20 +214,28 @@ StatusOr<std::vector<ScanCandidatesResult>>
 RemoteRetrievalBackend::ScanCandidatesBatch(
     const std::vector<Vector>& embedded_queries,
     const RetrievalOptions& options) const {
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  return Scan(embedded_queries, options, /*trace=*/nullptr);
+  return StartScanCandidatesBatch(embedded_queries, options).Wait();
 }
 
-StatusOr<std::vector<ScanCandidatesResult>> RemoteRetrievalBackend::Scan(
+PendingScan RemoteRetrievalBackend::StartScanCandidatesBatch(
+    const std::vector<Vector>& embedded_queries,
+    const RetrievalOptions& options) const {
+  Status valid = ValidateRetrievalOptions(options);
+  if (!valid.ok()) return PendingScan(valid);
+  return StartScan(embedded_queries, options, /*trace=*/nullptr);
+}
+
+PendingScan RemoteRetrievalBackend::StartScan(
     const std::vector<Vector>& embedded_queries,
     const RetrievalOptions& options, obs::RequestTrace* trace) const {
-  std::vector<ScanCandidatesResult> results;
-  if (embedded_queries.empty()) return results;
+  if (embedded_queries.empty()) {
+    return PendingScan(std::vector<ScanCandidatesResult>());
+  }
   const size_t d = embedded_queries.front().size();
   for (const Vector& query : embedded_queries) {
     if (query.size() != d) {
-      return Status::InvalidArgument(
-          "the embedded queries of one batch differ in dims");
+      return PendingScan(Status::InvalidArgument(
+          "the embedded queries of one batch differ in dims"));
     }
   }
   // Split the batch so neither a frame's queries nor its answer (up to p
@@ -217,7 +244,12 @@ StatusOr<std::vector<ScanCandidatesResult>> RemoteRetrievalBackend::Scan(
       kMaxWireQueries,
       std::max<uint64_t>(1, kMaxScanCandidatesPerFrame /
                                 std::max<uint64_t>({options.p, d, 1}))));
-  results.reserve(embedded_queries.size());
+  struct Frame {
+    SentCall call;
+    size_t queries;
+    uint64_t span_start;
+  };
+  auto frames = std::make_shared<std::vector<Frame>>();
   for (size_t begin = 0; begin < embedded_queries.size(); begin += per_frame) {
     const size_t b = std::min(per_frame, embedded_queries.size() - begin);
     WireRequest request;
@@ -232,40 +264,49 @@ StatusOr<std::vector<ScanCandidatesResult>> RemoteRetrievalBackend::Scan(
                            embedded_queries[i].end());
     }
     const uint64_t span_start = obs::TraceNowNs(trace);
-    auto response = Call(std::move(request));
-    QSE_RETURN_IF_ERROR(response.status());
-    WireResponse& scan = response.value();
-    if (scan.lists.size() != b) {
-      return Status::DataLoss("kScan answered " +
-                              std::to_string(scan.lists.size()) + " of " +
-                              std::to_string(b) + " candidate lists");
-    }
-    if (trace != nullptr) {
-      // Graft server-side spans: their times are relative to the server's
-      // receipt of the request, which from this trace's view is no
-      // earlier than this call's start.  Clocks of two processes are
-      // never compared — only the server's own durations ride on our
-      // anchor.
-      for (const WireSpan& span : scan.spans) {
-        obs::TraceSpan grafted;
-        grafted.name = obs::InternString("remote:" + span.name);
-        grafted.start_ns = span_start + span.start_ns;
-        grafted.dur_ns = span.dur_ns;
-        grafted.tid = span.tid;
-        trace->AddSpan(std::move(grafted));
+    frames->push_back({Send(std::move(request)), b, span_start});
+  }
+  const size_t count = embedded_queries.size();
+  return PendingScan([this, frames, trace, count]() -> PendingScan::Result {
+    std::vector<ScanCandidatesResult> results;
+    results.reserve(count);
+    for (Frame& frame : *frames) {
+      StatusOr<WireResponse> response = Receive(std::move(frame.call));
+      QSE_RETURN_IF_ERROR(response.status());
+      WireResponse& scan = response.value();
+      if (scan.lists.size() != frame.queries) {
+        return Status::DataLoss("kScan answered " +
+                                std::to_string(scan.lists.size()) + " of " +
+                                std::to_string(frame.queries) +
+                                " candidate lists");
+      }
+      if (trace != nullptr) {
+        // Graft server-side spans: their times are relative to the
+        // server's receipt of the request, which from this trace's view
+        // is no earlier than the frame's send.  Clocks of two processes
+        // are never compared — only the server's own durations ride on
+        // our anchor.
+        for (const WireSpan& span : scan.spans) {
+          obs::TraceSpan grafted;
+          grafted.name = obs::InternString("remote:" + span.name);
+          grafted.start_ns = frame.span_start + span.start_ns;
+          grafted.dur_ns = span.dur_ns;
+          grafted.tid = span.tid;
+          trace->AddSpan(std::move(grafted));
+        }
+      }
+      auto next = scan.neighbors.begin();
+      for (const WireScanList& list : scan.lists) {
+        ScanCandidatesResult result;
+        result.candidates.assign(next, next + list.size);
+        next += list.size;
+        result.rows = static_cast<size_t>(scan.rows);
+        result.rows_pruned = static_cast<size_t>(list.rows_pruned);
+        results.push_back(std::move(result));
       }
     }
-    auto next = scan.neighbors.begin();
-    for (const WireScanList& list : scan.lists) {
-      ScanCandidatesResult result;
-      result.candidates.assign(next, next + list.size);
-      next += list.size;
-      result.rows = static_cast<size_t>(scan.rows);
-      result.rows_pruned = static_cast<size_t>(list.rows_pruned);
-      results.push_back(std::move(result));
-    }
-  }
-  return results;
+    return results;
+  });
 }
 
 StatusOr<RetrievalResponse> RemoteRetrievalBackend::Retrieve(

@@ -16,6 +16,7 @@
 #include "src/retrieval/retrieval_pipeline.h"
 #include "src/util/status.h"
 #include "src/util/statusor.h"
+#include "src/util/timer.h"
 
 namespace qse {
 namespace net {
@@ -60,8 +61,15 @@ struct RemoteBackendOptions {
 /// same budget, so an expired deadline fails at whichever side notices
 /// first.
 ///
+/// An RPC has a send half and a receive half.  Every call sends, then
+/// receives; StartScanCandidatesBatch returns between the two, so a
+/// sharded engine sends every shard's kScan before it waits on any.
+/// qse_remote_rpc_latency_ns runs from send to receive.
+///
 /// Thread-safety: safe for concurrent use; connections are pooled, each
-/// RPC checks one out (or dials a new one) and returns it on success.
+/// RPC checks one out (or dials a new one) and returns it once its
+/// answer has been read.  A connection whose answer was never read is
+/// closed, never pooled.
 class RemoteRetrievalBackend : public RetrievalBackend {
  public:
   /// `embedder` runs the client-side embedding step and must match the
@@ -75,8 +83,8 @@ class RemoteRetrievalBackend : public RetrievalBackend {
       const RetrievalRequest& request) const override;
 
   /// The pipeline over a batch: embeds client-side, then one kScan per
-  /// query group (one group unless options.num_threads splits it),
-  /// refines locally.
+  /// query group (one group unless options.num_threads splits it), sent
+  /// before any answer is read, refines locally.
   StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
       const std::vector<DxToDatabaseFn>& queries,
       const RetrievalOptions& options) const override;
@@ -90,7 +98,17 @@ class RemoteRetrievalBackend : public RetrievalBackend {
   /// one frame is split, see kMaxScanCandidatesPerFrame) and returns the
   /// remote backend's top-p for each, scanned in one pass over one
   /// snapshot.  The first failed frame fails the batch.
+  /// StartScanCandidatesBatch, then Wait.
   StatusOr<std::vector<ScanCandidatesResult>> ScanCandidatesBatch(
+      const std::vector<Vector>& embedded_queries,
+      const RetrievalOptions& options) const override;
+
+  /// Sends every kScan frame of the batch, each on its own checked-out
+  /// or dialed connection, and returns; Wait() receives and decodes the
+  /// answers and pools the connections.  One frame per connection: a
+  /// server answers a connection's frames one at a time, and a large
+  /// unread answer could stall the send of the next frame.
+  PendingScan StartScanCandidatesBatch(
       const std::vector<Vector>& embedded_queries,
       const RetrievalOptions& options) const override;
 
@@ -107,16 +125,35 @@ class RemoteRetrievalBackend : public RetrievalBackend {
   uint16_t port() const { return port_; }
 
  private:
-  /// The kScan RPCs of a batch; a non-null `trace` asks the server for
-  /// its spans and grafts them under each call's start.
-  StatusOr<std::vector<ScanCandidatesResult>> Scan(
-      const std::vector<Vector>& embedded_queries,
-      const RetrievalOptions& options, obs::RequestTrace* trace) const;
-  /// One RPC: checkout/dial, send, receive, decode, return-to-pool.
-  /// Applies the deadline budget from options and the read-retry policy.
+  /// An RPC past its send half: the connection its answer will arrive
+  /// on, or why the request could not be sent.
+  struct SentCall {
+    /// Kept for the read retry.
+    WireRequest request;
+    StatusOr<Socket> sock;
+    MonotonicClock::time_point start;
+  };
+
+  /// StartScanCandidatesBatch; a non-null `trace` asks the server for
+  /// its spans, grafted under each frame's send time when collected.
+  PendingScan StartScan(const std::vector<Vector>& embedded_queries,
+                        const RetrievalOptions& options,
+                        obs::RequestTrace* trace) const;
+  /// Send half: computes the deadline budget from options, then checks
+  /// out or dials a connection and sends.  A failure to send is carried
+  /// to Receive, which owns the retry policy.
+  SentCall Send(WireRequest request) const;
+  /// Receive half: receives and decodes the answer and pools the
+  /// connection.  A read whose send or receive failed on a transport
+  /// fault is sent once more over a fresh connection.
+  StatusOr<WireResponse> Receive(SentCall call) const;
+  /// One RPC: Send, then Receive.
   StatusOr<WireResponse> Call(WireRequest request) const;
-  StatusOr<WireResponse> CallOnce(const WireRequest& request,
-                                  const std::string& payload) const;
+  /// One attempt's send: checkout or dial, send.
+  StatusOr<Socket> SendOnce(const WireRequest& request,
+                            const std::string& payload) const;
+  /// One attempt's receive over what SendOnce returned.
+  StatusOr<WireResponse> ReceiveOnce(StatusOr<Socket> sent) const;
   /// Dials a fresh connection, retrying refused/unreachable connects
   /// with doubling backoff per options.reconnect_* within the deadline
   /// budget (0 = no deadline).

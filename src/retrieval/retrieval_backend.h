@@ -3,8 +3,10 @@
 
 #include <chrono>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/embedding/embedder.h"
@@ -196,6 +198,29 @@ struct ScanCandidatesResult {
   std::shared_ptr<EmbeddedDatabase::Snapshot> pinned;
 };
 
+/// A ScanCandidatesBatch that has been started and is collected later
+/// (RetrievalBackend::StartScanCandidatesBatch).  Wait() returns its
+/// results and is called at most once.  Dropping a pending scan
+/// uncollected abandons it: a remote stub closes the connection its
+/// answer would have arrived on.
+class PendingScan {
+ public:
+  using Result = StatusOr<std::vector<ScanCandidatesResult>>;
+
+  /// A scan that already finished with `result`.
+  explicit PendingScan(Result result) : result_(std::move(result)) {}
+  /// A scan in flight: `collect` waits for it and returns its result.
+  explicit PendingScan(std::function<Result()> collect)
+      : result_(Status::Internal("scan not collected")),
+        collect_(std::move(collect)) {}
+
+  Result Wait() { return collect_ ? collect_() : std::move(result_); }
+
+ private:
+  Result result_;
+  std::function<Result()> collect_;
+};
+
 /// The serving-facing face of a retrieval engine: the filter-and-refine
 /// query API plus incremental mutation, shared by the monolithic
 /// RetrievalEngine and the sharded scatter/gather engine so examples,
@@ -270,6 +295,19 @@ class RetrievalBackend {
   virtual StatusOr<std::vector<ScanCandidatesResult>> ScanCandidatesBatch(
       const std::vector<Vector>& embedded_queries,
       const RetrievalOptions& options) const;
+
+  /// Starts ScanCandidatesBatch(embedded_queries, options) and returns
+  /// without waiting for a backend that answers from elsewhere: the
+  /// remote stub sends its kScan frames here and receives them in
+  /// Wait(), so a caller that starts every shard's scan before waiting
+  /// on any overlaps the shards' round trips.  The pending scan keeps no
+  /// reference to the arguments, but must not outlive this backend.
+  /// Default: runs the scan now and returns it finished.
+  virtual PendingScan StartScanCandidatesBatch(
+      const std::vector<Vector>& embedded_queries,
+      const RetrievalOptions& options) const {
+    return PendingScan(ScanCandidatesBatch(embedded_queries, options));
+  }
 
   /// Adds an object whose embedding was already computed (the remote
   /// path: the client embeds with its own `dx`, the row crosses the wire

@@ -36,7 +36,7 @@ RetrievalEngine::RetrievalEngine(const Embedder* embedder,
   pipeline_.scan = [this](size_t, const std::vector<Vector>& embedded_queries,
                           const RetrievalOptions& options,
                           obs::RequestTrace*) {
-    return ScanCandidatesBatch(embedded_queries, options);
+    return PendingScan(ScanCandidatesBatch(embedded_queries, options));
   };
   pipeline_.known_empty = [this] { return db_->empty(); };
   pipeline_.metrics.retrievals_total =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -97,55 +98,66 @@ StatusOr<std::vector<RetrievalResponse>> RetrievalPipeline::Run(
   // global top p could in the worst case live entirely in one source).
   // A work item scans one source for one group of queries in one pass;
   // sources fewer than threads split their queries so no thread idles.
+  // Every item is started before any is collected: a local source scans
+  // while its item starts, a remote one only sends its frames, and the
+  // collect loop then receives answers the servers computed at once.
   const size_t groups =
       std::min(count, std::max<size_t>(1, (threads + num_sources - 1) /
                                               num_sources));
+  const size_t items = num_sources * groups;
+  std::vector<std::optional<PendingScan>> pending(items);
+  std::vector<uint64_t> scan_start(items);
   std::vector<std::vector<ScanCandidatesResult>> scans(
       count, std::vector<ScanCandidatesResult>(num_sources));
   MonotonicClock::time_point stage_start = MonotonicClock::now();
   // Grain 2: one item is a whole pass over a source; one item stays
   // serial.
   ParallelForGrain(
-      0, num_sources * groups, 2,
+      0, items, 2,
       [&](size_t item) {
         const size_t s = item / groups;
         const size_t g = item % groups;
-        const size_t begin = g * count / groups;
-        const size_t end = (g + 1) * count / groups;
         std::vector<Vector> group;
         if (groups > 1) {
-          group.assign(embedded.begin() + begin, embedded.begin() + end);
+          group.assign(embedded.begin() + g * count / groups,
+                       embedded.begin() + (g + 1) * count / groups);
         }
-        const uint64_t scan_start = obs::TraceNowNs(trace);
-        StatusOr<std::vector<ScanCandidatesResult>> result =
-            scan(s, groups > 1 ? group : embedded, scan_options, trace);
-        if (!result.ok()) {
-          fail(result.status());
-          return;
-        }
-        if (result->size() != end - begin) {
-          fail(Status::Internal("scan source " + std::to_string(s) +
-                                " answered " + std::to_string(result->size()) +
-                                " of " + std::to_string(end - begin) +
-                                " queries"));
-          return;
-        }
-        for (size_t i = begin; i < end; ++i) {
-          scans[i][s] = std::move((*result)[i - begin]);
-        }
-        if (trace == nullptr) return;
-        obs::TraceMark(
-            trace, scan_span, scan_start,
-            {obs::TraceArg{"shard", static_cast<int64_t>(s), nullptr},
-             obs::TraceArg{"rows", static_cast<int64_t>(scans[0][s].rows),
-                           nullptr},
-             obs::TraceArg{"rows_pruned",
-                           static_cast<int64_t>(scans[0][s].rows_pruned),
-                           nullptr},
-             obs::TraceArg{"precision", 0,
-                           FilterPrecisionName(options.filter_precision)}});
+        scan_start[item] = obs::TraceNowNs(trace);
+        pending[item].emplace(
+            scan(s, groups > 1 ? group : embedded, scan_options, trace));
       },
       threads);
+  for (size_t item = 0; item < items; ++item) {
+    const size_t s = item / groups;
+    const size_t g = item % groups;
+    const size_t begin = g * count / groups;
+    const size_t end = (g + 1) * count / groups;
+    StatusOr<std::vector<ScanCandidatesResult>> result = pending[item]->Wait();
+    if (!result.ok()) {
+      fail(result.status());
+      continue;
+    }
+    if (result->size() != end - begin) {
+      fail(Status::Internal("scan source " + std::to_string(s) +
+                            " answered " + std::to_string(result->size()) +
+                            " of " + std::to_string(end - begin) +
+                            " queries"));
+      continue;
+    }
+    for (size_t i = begin; i < end; ++i) {
+      scans[i][s] = std::move((*result)[i - begin]);
+    }
+    if (trace == nullptr) continue;
+    obs::TraceMark(
+        trace, scan_span, scan_start[item],
+        {obs::TraceArg{"shard", static_cast<int64_t>(s), nullptr},
+         obs::TraceArg{"rows", static_cast<int64_t>(scans[0][s].rows),
+                       nullptr},
+         obs::TraceArg{"rows_pruned",
+                       static_cast<int64_t>(scans[0][s].rows_pruned), nullptr},
+         obs::TraceArg{"precision", 0,
+                       FilterPrecisionName(options.filter_precision)}});
+  }
   RecordSince(metrics.scan_ns, stage_start);
   QSE_RETURN_IF_ERROR(first_error);
 

@@ -31,13 +31,14 @@ struct PipelineMetrics {
   obs::Histogram* refine_ns = nullptr;
 };
 
-/// Scans source `s` for a batch of embedded queries in one pass:
-/// result[i] is the local top-p of embedded_queries[i] as (database id,
-/// filter score) sorted by (score, id), per the ScanCandidatesBatch
-/// contract.  `trace` is the request's trace for a traced batch of one
-/// (null otherwise); a source behind a process boundary may graft the
-/// remote spans into it.
-using ScanSourceFn = std::function<StatusOr<std::vector<ScanCandidatesResult>>(
+/// Starts scanning source `s` for a batch of embedded queries in one
+/// pass: once waited on, result[i] is the local top-p of
+/// embedded_queries[i] as (database id, filter score) sorted by
+/// (score, id), per the ScanCandidatesBatch contract.  A local source
+/// scans before returning; a remote one only sends.  `trace` is the
+/// request's trace for a traced batch of one (null otherwise); a source
+/// behind a process boundary may graft the remote spans into it.
+using ScanSourceFn = std::function<PendingScan(
     size_t s, const std::vector<Vector>& embedded_queries,
     const RetrievalOptions& options, obs::RequestTrace* trace)>;
 
@@ -50,7 +51,9 @@ using ScanSourceFn = std::function<StatusOr<std::vector<ScanCandidatesResult>>(
 ///
 ///  1. Embed every query once (<= 2d exact distances each).
 ///  2. Scan every source once for the whole batch — one memory pass per
-///     source — for each query's local top p.
+///     source — for each query's local top p.  Every source's scan is
+///     started before any is waited on, so remote shards scan at the
+///     same time.
 ///  3. Per query, merge the sorted lists to the global top p under the
 ///     (score, id) order and refine the merged p by exact distance;
 ///     neighbors are database ids, ties ordered by id.

@@ -95,7 +95,7 @@ void ShardedRetrievalEngine::InitPipeline() {
                           const std::vector<Vector>& embedded_queries,
                           const RetrievalOptions& options,
                           obs::RequestTrace*) {
-    return shards_[s]->ScanCandidatesBatch(embedded_queries, options);
+    return shards_[s]->StartScanCandidatesBatch(embedded_queries, options);
   };
   pipeline_.known_empty = [this] { return size() == 0; };
   pipeline_.scan_span = "shard_scan";

@@ -44,11 +44,13 @@ struct ShardedEngineOptions {
 /// answer to the filter step's linear scan growing with n: each shard
 /// holds a disjoint subset of the database (an owned RetrievalEngine, or
 /// a composed backend such as a remote stub), and the shared
-/// RetrievalPipeline embeds the query once, fans its filter scan out
-/// across the shards' ScanCandidates in parallel, merges the per-shard
-/// top-p lists (MergeSortedTopK) and refines the merged top p by exact
-/// distance.  A request with want_stats receives per-shard scan/candidate
-/// counters in RetrievalResponse::shard_stats.
+/// RetrievalPipeline embeds the query once, starts every shard's filter
+/// scan (StartScanCandidatesBatch) before waiting on any, so local
+/// shards scan in parallel and remote shards' round trips overlap on one
+/// thread, merges the per-shard top-p lists (MergeSortedTopK) and refines
+/// the merged top p by exact distance.  A request with want_stats
+/// receives per-shard scan/candidate counters in
+/// RetrievalResponse::shard_stats.
 ///
 /// Exactness: results are bit-identical to an unsharded RetrievalEngine at
 /// equal p over the same data — every row's filter score is computed by the
@@ -167,8 +169,8 @@ class ShardedRetrievalEngine : public RetrievalBackend {
 
   const Embedder* embedder_;
   ShardedEngineOptions options_;
-  /// Shard s's backend, scanned through ScanCandidates.  For the local
-  /// constructors it is a RetrievalEngine over dbs_[s].
+  /// Shard s's backend, scanned through StartScanCandidatesBatch.  For
+  /// the local constructors it is a RetrievalEngine over dbs_[s].
   std::vector<std::shared_ptr<RetrievalBackend>> shards_;
   /// Locally-owned shard databases; empty for a composed engine.
   /// unique_ptr keeps addresses stable: each engine points at its db.

@@ -39,7 +39,13 @@ namespace qse {
 ///    object pinned at an epoch <= R.
 ///  * Reclaim: free retired objects whose stamp is below the minimum
 ///    epoch currently pinned (below the current epoch when nothing is
-///    pinned).
+///    pinned).  Retire reclaims, and so does every unpin while retirees
+///    are pending: the reader that leaves last frees the object, with no
+///    wait for the next mutation.  An unpin with nothing pending costs
+///    one load of the pending count.  The pairing is Dekker's: the reader
+///    stores its idle slot, then loads the count; the writer stores the
+///    count, then loads the slots.  In S one of the two sees the other,
+///    so the reader or the writer frees the object — neither can miss it.
 ///
 /// Writers are expected to be serialized by the owning data structure
 /// (Retire/Reclaim are nonetheless thread-safe); readers are wait-free
@@ -57,7 +63,9 @@ class EpochManager {
   EpochManager& operator=(const EpochManager&) = delete;
 
   /// Runs every pending deleter.  Must not be destroyed while any reader
-  /// is pinned (that reader would be left dereferencing freed memory).
+  /// is pinned (that reader would be left dereferencing freed memory),
+  /// nor while a Guard's release is still running: an unpin reads the
+  /// pending count, and may reclaim, after its slot reads idle.
   ~EpochManager() {
     QSE_CHECK_MSG(pinned_readers() == 0,
                   "EpochManager destroyed with pinned readers");
@@ -102,8 +110,12 @@ class EpochManager {
 
     void Release() {
       if (manager_ == nullptr) return;
-      manager_->slots_[slot_].epoch.store(kIdle, std::memory_order_seq_cst);
+      EpochManager* manager = manager_;
       manager_ = nullptr;
+      manager->slots_[slot_].epoch.store(kIdle, std::memory_order_seq_cst);
+      if (manager->pending_.load(std::memory_order_seq_cst) != 0) {
+        manager->ReclaimDrained();
+      }
     }
 
     EpochManager* manager_ = nullptr;
@@ -136,20 +148,22 @@ class EpochManager {
 
   /// Registers `deleter` to run once every reader that could still hold
   /// the retired object has unpinned, and advances the epoch so future
-  /// pins are distinguishable from those readers.  Opportunistically
-  /// reclaims whatever has already drained.
+  /// pins are distinguishable from those readers.  Reclaims whatever has
+  /// already drained; what has not is freed by the last of its readers
+  /// to unpin.
   void Retire(std::function<void()> deleter) {
     uint64_t stamp = epoch_.fetch_add(1, std::memory_order_seq_cst);
     {
       std::lock_guard<std::mutex> lock(retired_mu_);
       retired_.push_back({stamp, std::move(deleter)});
+      pending_.store(retired_.size(), std::memory_order_seq_cst);
     }
     ReclaimDrained();
   }
 
   /// Frees every retired object whose epoch stamp has drained (no reader
-  /// is pinned at or before it).  Called by Retire; also callable
-  /// directly to bound memory while no mutations are happening.
+  /// is pinned at or before it).  Called by Retire and by an unpin while
+  /// retirees are pending; also callable directly.
   void ReclaimDrained() {
     uint64_t min_pinned = MinPinnedEpoch();
     std::vector<Retired> ready;
@@ -164,6 +178,7 @@ class EpochManager {
         }
       }
       retired_.resize(keep);
+      pending_.store(keep, std::memory_order_seq_cst);
     }
     // Deleters run outside the lock: they may be arbitrarily heavy
     // (freeing a multi-hundred-MB database version).
@@ -218,6 +233,9 @@ class EpochManager {
   std::vector<Slot> slots_{kMaxReaders};
   mutable std::mutex retired_mu_;
   std::vector<Retired> retired_;
+  /// retired_.size(), stored under retired_mu_ and loaded without it by
+  /// every unpin.
+  std::atomic<size_t> pending_{0};
 };
 
 }  // namespace qse

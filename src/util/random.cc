@@ -23,6 +23,9 @@ double Rng::Uniform(double lo, double hi) {
 }
 
 double Rng::Gaussian(double mean, double stddev) {
+  // std::normal_distribution requires stddev > 0; a zero spread is the
+  // point mass at the mean.
+  if (stddev == 0.0) return mean;
   std::normal_distribution<double> dist(mean, stddev);
   return dist(engine_);
 }

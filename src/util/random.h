@@ -25,7 +25,8 @@ class Rng {
   /// Uniform double in [lo, hi).
   double Uniform(double lo = 0.0, double hi = 1.0);
 
-  /// Normal deviate with the given mean and standard deviation.
+  /// Normal deviate with the given mean and standard deviation; exactly
+  /// `mean`, drawing nothing, when stddev is 0.
   double Gaussian(double mean = 0.0, double stddev = 1.0);
 
   /// Bernoulli trial with success probability p.

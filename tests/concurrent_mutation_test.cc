@@ -58,6 +58,7 @@
 #include "src/serving/sharded_retrieval_engine.h"
 #include "src/util/random.h"
 #include "tests/line_universe.h"
+#include "tests/test_util.h"
 
 namespace qse {
 namespace {
@@ -822,17 +823,6 @@ TEST(GoldenParity, MonoQuiescentStateMatchesSerialReplay) {
 
 // --- WAL-on stress: durability under live retrieval, then recovery -------
 
-/// Fresh durability directory under gtest's temp dir (stale files from a
-/// previous run removed).
-std::string FreshDurabilityDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  ::mkdir(dir.c_str(), 0755);
-  std::remove((dir + "/wal.qse").c_str());
-  std::remove((dir + "/snapshot.qse").c_str());
-  std::remove((dir + "/snapshot.qse.tmp").c_str());
-  return dir;
-}
-
 persist::DurabilityOptions StressDurabilityOptions(const std::string& dir) {
   persist::DurabilityOptions options;
   options.dir = dir;
@@ -881,7 +871,7 @@ void RerunOracleQuiescent(RetrievalBackend* backend,
 TEST(DurableConcurrentMutationStress, MonoWalOnStressThenRecover) {
   const uint64_t seed = StressSeed();
   QSE_LOG_STRESS_SEED(seed);
-  const std::string dir = FreshDurabilityDir("qse_stress_durability_mono");
+  const std::string dir = test::FreshDir("qse_stress_durability_mono");
   const persist::DurabilityOptions dopts = StressDurabilityOptions(dir);
 
   MonoStack live;
@@ -920,7 +910,7 @@ TEST(DurableConcurrentMutationStress, MonoWalOnStressThenRecover) {
 TEST(DurableConcurrentMutationStress, ShardedWalOnStressThenRecover) {
   const uint64_t seed = StressSeed();
   QSE_LOG_STRESS_SEED(seed);
-  const std::string dir = FreshDurabilityDir("qse_stress_durability_sharded");
+  const std::string dir = test::FreshDir("qse_stress_durability_sharded");
   const persist::DurabilityOptions dopts = StressDurabilityOptions(dir);
   constexpr size_t kShards = 3;
 

@@ -204,16 +204,6 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  ::mkdir(dir.c_str(), 0755);
-  std::remove((dir + "/wal.qse").c_str());
-  std::remove((dir + "/snapshot.qse").c_str());
-  std::remove((dir + "/snapshot.qse.tmp").c_str());
-  std::remove((dir + "/ready").c_str());
-  return dir;
-}
-
 pid_t SpawnChild(const std::string& dir, const std::string& mode) {
   std::remove((dir + "/ready").c_str());
   char exe[4096];
@@ -300,7 +290,7 @@ void KillAfterSnapshotAndTail(pid_t pid, const std::string& dir,
 /// before continuing the op stream.
 void RunCrashRecoverTest(const std::string& mode, int generations) {
   const bool sharded = (mode == "sharded");
-  const std::string dir = FreshDir("crash_recover_" + mode);
+  const std::string dir = test::FreshDir("crash_recover_" + mode);
   const DurabilityOptions options = CrashOptions(dir, sharded);
 
   for (int gen = 0; gen < generations; ++gen) {

@@ -1,6 +1,7 @@
 // Unit tests for the epoch-based reclamation manager behind concurrent
 // database mutation: pin/unpin nesting, deferred reclamation ordering,
-// the no-reclamation-while-pinned guarantee, and destructor draining.
+// the no-reclamation-while-pinned guarantee, reclamation by the last
+// reader to unpin, and destructor draining.
 #include "src/util/epoch.h"
 
 #include <gtest/gtest.h>
@@ -156,6 +157,51 @@ TEST(EpochManagerTest, ConcurrentPinsAndRetiresAllReclaim) {
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : readers) t.join();
   epoch.ReclaimDrained();
+  EXPECT_EQ(freed.load(), kRetires);
+  EXPECT_EQ(epoch.retired_count(), 0u);
+}
+
+TEST(EpochManagerTest, LastUnpinFreesTheRetiredObject) {
+  EpochManager epoch;
+  bool freed = false;
+  EpochManager::Guard first = epoch.Pin();
+  EpochManager::Guard second = epoch.Pin();
+  epoch.Retire([&freed] { freed = true; });
+  first = EpochManager::Guard();
+  EXPECT_FALSE(freed);  // `second` may still hold the object.
+  EXPECT_EQ(epoch.retired_count(), 1u);
+  // The last reader out frees it: no Retire or ReclaimDrained follows.
+  second = EpochManager::Guard();
+  EXPECT_TRUE(freed);
+  EXPECT_EQ(epoch.retired_count(), 0u);
+}
+
+TEST(EpochManagerTest, UnpinsRacingRetiresLeaveNothingPending) {
+  // Readers unpin while the writer retires.  For every retiree either
+  // the writer's slot scan or the last pinned reader's unpin frees it,
+  // so once the readers have left nothing is pending — with no final
+  // ReclaimDrained.
+  EpochManager epoch;
+  constexpr size_t kRetires = 2000;
+  constexpr size_t kReaders = 4;
+  std::atomic<size_t> freed{0};
+  std::atomic<bool> stop{false};
+
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        EpochManager::Guard outer = epoch.Pin();
+        EpochManager::Guard inner = epoch.Pin();
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (size_t i = 0; i < kRetires; ++i) {
+    epoch.Retire([&freed] { freed.fetch_add(1); });
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : readers) t.join();
   EXPECT_EQ(freed.load(), kRetires);
   EXPECT_EQ(epoch.retired_count(), 0u);
 }

@@ -37,15 +37,6 @@ using test::LineEmbedder;
 using test::MakeDx;
 using test::XOf;
 
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  ::mkdir(dir.c_str(), 0755);
-  std::remove((dir + "/wal.qse").c_str());
-  std::remove((dir + "/snapshot.qse").c_str());
-  std::remove((dir + "/snapshot.qse.tmp").c_str());
-  return dir;
-}
-
 uint64_t FileSize(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size)
@@ -77,7 +68,7 @@ struct MonoStack {
 // --- WAL framing and sequence discipline ---------------------------------
 
 TEST(Wal, MissingFileReadsEmpty) {
-  const std::string dir = FreshDir("persist_wal_missing");
+  const std::string dir = test::FreshDir("persist_wal_missing");
   StatusOr<WalReadResult> result = ReadWal(dir + "/wal.qse");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->records.empty());
@@ -87,7 +78,7 @@ TEST(Wal, MissingFileReadsEmpty) {
 }
 
 TEST(Wal, AppendReadBackRoundTrip) {
-  const std::string dir = FreshDir("persist_wal_roundtrip");
+  const std::string dir = test::FreshDir("persist_wal_roundtrip");
   const std::string path = dir + "/wal.qse";
   std::vector<WalRecord> written;
   {
@@ -123,7 +114,7 @@ TEST(Wal, AppendReadBackRoundTrip) {
 }
 
 TEST(Wal, SequenceContinuesAcrossReopen) {
-  const std::string dir = FreshDir("persist_wal_reopen");
+  const std::string dir = test::FreshDir("persist_wal_reopen");
   const std::string path = dir + "/wal.qse";
   {
     StatusOr<std::unique_ptr<WalWriter>> writer =
@@ -162,7 +153,7 @@ TEST(Wal, SequenceContinuesAcrossReopen) {
 }
 
 TEST(Wal, ResetToBaseCompacts) {
-  const std::string dir = FreshDir("persist_wal_reset");
+  const std::string dir = test::FreshDir("persist_wal_reset");
   const std::string path = dir + "/wal.qse";
   StatusOr<std::unique_ptr<WalWriter>> writer =
       WalWriter::Open(path, FsyncPolicy::kEveryRecord, 1, 0, 0, 1);
@@ -194,7 +185,7 @@ TEST(Wal, AllFsyncPoliciesRoundTrip) {
   const FsyncPolicy policies[] = {FsyncPolicy::kEveryRecord,
                                   FsyncPolicy::kEveryN, FsyncPolicy::kOff};
   for (FsyncPolicy policy : policies) {
-    const std::string dir = FreshDir(
+    const std::string dir = test::FreshDir(
         "persist_wal_policy_" +
         std::to_string(static_cast<int>(policy)));
     const std::string path = dir + "/wal.qse";
@@ -260,7 +251,7 @@ std::unique_ptr<DurabilityManager> RecoverMono(const DurabilityOptions& opts,
 }
 
 TEST(Persist, FreshDirectoryOpensEmpty) {
-  const DurabilityOptions opts = Opts(FreshDir("persist_fresh"));
+  const DurabilityOptions opts = Opts(test::FreshDir("persist_fresh"));
   StatusOr<std::unique_ptr<DurabilityManager>> manager =
       DurabilityManager::Open(opts);
   ASSERT_TRUE(manager.ok()) << manager.status();
@@ -271,7 +262,7 @@ TEST(Persist, FreshDirectoryOpensEmpty) {
 }
 
 TEST(Persist, WalOnlyRecoveryMatchesLiveState) {
-  const DurabilityOptions opts = Opts(FreshDir("persist_wal_only"));
+  const DurabilityOptions opts = Opts(test::FreshDir("persist_wal_only"));
   MonoStack live;
   {
     StatusOr<std::unique_ptr<DurabilityManager>> manager =
@@ -298,7 +289,7 @@ TEST(Persist, WalOnlyRecoveryMatchesLiveState) {
 }
 
 TEST(Persist, AutoSnapshotCompactsWalAndRecovers) {
-  DurabilityOptions opts = Opts(FreshDir("persist_auto_snapshot"));
+  DurabilityOptions opts = Opts(test::FreshDir("persist_auto_snapshot"));
   opts.snapshot_every_records = 10;
   MonoStack live;
   live.db.EnableFilterShadows(kShadowFloat32 | kShadowInt8);
@@ -336,7 +327,8 @@ TEST(Persist, AutoSnapshotCompactsWalAndRecovers) {
 }
 
 TEST(Persist, ExplicitSnapshotThenTailRecovers) {
-  const DurabilityOptions opts = Opts(FreshDir("persist_explicit_snapshot"));
+  const DurabilityOptions opts =
+      Opts(test::FreshDir("persist_explicit_snapshot"));
   MonoStack live;
   {
     StatusOr<std::unique_ptr<DurabilityManager>> manager =
@@ -363,7 +355,7 @@ TEST(Persist, ExplicitSnapshotThenTailRecovers) {
 }
 
 TEST(Persist, RecoveryIsRepeatable) {
-  const DurabilityOptions opts = Opts(FreshDir("persist_repeatable"));
+  const DurabilityOptions opts = Opts(test::FreshDir("persist_repeatable"));
   {
     MonoStack live;
     StatusOr<std::unique_ptr<DurabilityManager>> manager =
@@ -384,7 +376,7 @@ TEST(Persist, RecoveryIsRepeatable) {
 }
 
 TEST(Persist, RepairOffRejectsCorruptTail) {
-  const DurabilityOptions base = Opts(FreshDir("persist_strict"));
+  const DurabilityOptions base = Opts(test::FreshDir("persist_strict"));
   {
     MonoStack live;
     StatusOr<std::unique_ptr<DurabilityManager>> manager =
@@ -419,7 +411,7 @@ TEST(Persist, RepairOffRejectsCorruptTail) {
 }
 
 TEST(Persist, ModelBlobRoundTripsThroughSnapshot) {
-  DurabilityOptions opts = Opts(FreshDir("persist_model_blob"));
+  DurabilityOptions opts = Opts(test::FreshDir("persist_model_blob"));
   opts.model_blob = std::string("fastmap-model\x00v1", 16);
   {
     MonoStack live;
@@ -441,7 +433,7 @@ TEST(Persist, ModelBlobRoundTripsThroughSnapshot) {
 }
 
 TEST(Persist, ShardedRecoveryRoundTrip) {
-  const DurabilityOptions opts = Opts(FreshDir("persist_sharded"));
+  const DurabilityOptions opts = Opts(test::FreshDir("persist_sharded"));
   constexpr size_t kShards = 3;
   LineEmbedder embedder;
   L2Scorer scorer;
@@ -488,7 +480,7 @@ TEST(Persist, ShardedRecoveryRoundTrip) {
 }
 
 TEST(Persist, InstallSnapshotRejectsShardCountMismatch) {
-  const DurabilityOptions opts = Opts(FreshDir("persist_shard_mismatch"));
+  const DurabilityOptions opts = Opts(test::FreshDir("persist_shard_mismatch"));
   {
     MonoStack live;
     StatusOr<std::unique_ptr<DurabilityManager>> manager =
@@ -511,7 +503,8 @@ TEST(Persist, InstallSnapshotRejectsShardCountMismatch) {
 // --- DurableBackend contract ---------------------------------------------
 
 TEST(DurableBackendTest, FailedMutationIsNotLogged) {
-  const DurabilityOptions opts = Opts(FreshDir("persist_failed_mutation"));
+  const DurabilityOptions opts =
+      Opts(test::FreshDir("persist_failed_mutation"));
   MonoStack live;
   StatusOr<std::unique_ptr<DurabilityManager>> manager =
       DurabilityManager::Open(opts);
@@ -525,7 +518,7 @@ TEST(DurableBackendTest, FailedMutationIsNotLogged) {
 }
 
 TEST(DurableBackendTest, RetrievalsPassThrough) {
-  const DurabilityOptions opts = Opts(FreshDir("persist_passthrough"));
+  const DurabilityOptions opts = Opts(test::FreshDir("persist_passthrough"));
   MonoStack live;
   StatusOr<std::unique_ptr<DurabilityManager>> manager =
       DurabilityManager::Open(opts);
@@ -550,7 +543,7 @@ TEST(DurableBackendTest, RetrievalsPassThrough) {
 }
 
 TEST(DurableBackendTest, ScanCandidatesBatchForwardsTheOnePassScan) {
-  const DurabilityOptions opts = Opts(FreshDir("persist_scan_batch"));
+  const DurabilityOptions opts = Opts(test::FreshDir("persist_scan_batch"));
   MonoStack live;
   StatusOr<std::unique_ptr<DurabilityManager>> manager =
       DurabilityManager::Open(opts);

@@ -67,6 +67,21 @@ TEST(RngTest, GaussianMomentsRoughlyCorrect) {
   EXPECT_NEAR(var, 4.0, 0.3);
 }
 
+TEST(RngTest, GaussianWithZeroStddevIsTheMean) {
+  Rng rng(13);
+  for (double mean : {0.0, -2.5, 7.0}) {
+    EXPECT_EQ(rng.Gaussian(mean, 0.0), mean);
+  }
+  // A positive spread draws exactly what std::normal_distribution does
+  // over the same engine, so seeded data is unchanged.
+  Rng a(17);
+  std::mt19937_64 engine(17);
+  for (double stddev : {1.0, 0.25, 1e-300}) {
+    std::normal_distribution<double> dist(0.5, stddev);
+    EXPECT_EQ(a.Gaussian(0.5, stddev), dist(engine));
+  }
+}
+
 TEST(RngTest, BernoulliFrequency) {
   Rng rng(13);
   int hits = 0;

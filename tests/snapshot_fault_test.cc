@@ -20,6 +20,7 @@
 #include "src/retrieval/filter_scorer.h"
 #include "src/retrieval/retrieval_engine.h"
 #include "tests/line_universe.h"
+#include "tests/test_util.h"
 
 namespace qse {
 namespace persist {
@@ -35,15 +36,6 @@ struct MonoStack {
   EmbeddedDatabase db{kLineDims};
   RetrievalEngine engine{&embedder, &scorer, &db, {}};
 };
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  ::mkdir(dir.c_str(), 0755);
-  std::remove((dir + "/wal.qse").c_str());
-  std::remove((dir + "/snapshot.qse").c_str());
-  std::remove((dir + "/snapshot.qse.tmp").c_str());
-  return dir;
-}
 
 void ExpectDbsIdentical(const EmbeddedDatabase& a, const EmbeddedDatabase& b,
                         const std::string& what) {
@@ -94,7 +86,7 @@ constexpr FsyncPolicy kPolicies[] = {
 TEST_P(SnapshotFaultMatrix, FailedPublishNeverTearsTheVisibleSnapshot) {
   const FaultCase fault = kFaults[std::get<0>(GetParam())];
   const FsyncPolicy policy = kPolicies[std::get<1>(GetParam())];
-  const std::string dir = FreshDir(
+  const std::string dir = test::FreshDir(
       std::string("snapshot_fault_") + fault.name + "_" +
       std::to_string(static_cast<int>(policy)));
 
@@ -153,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SnapshotFault, FreshDirectoryFaultLeavesWalOnlyRecovery) {
   // No previous snapshot at all: a failed first publish must leave the
   // directory in the WAL-only state (a *.tmp leftover is ignored).
-  const std::string dir = FreshDir("snapshot_fault_fresh");
+  const std::string dir = test::FreshDir("snapshot_fault_fresh");
   DurabilityOptions opts;
   opts.dir = dir;
   opts.fsync = FsyncPolicy::kEveryRecord;

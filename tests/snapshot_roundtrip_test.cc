@@ -170,10 +170,8 @@ TEST(SnapshotRoundTrip, InstallRejectsDimsMismatchOnNonEmptyImage) {
 }
 
 TEST(SnapshotRoundTrip, FileRoundTripAndMissingFile) {
-  const std::string dir = ::testing::TempDir() + "/snapshot_roundtrip_file";
-  ::mkdir(dir.c_str(), 0755);
-  const std::string path = dir + "/snapshot.qse";
-  std::remove(path.c_str());
+  const std::string path =
+      test::FreshDir("snapshot_roundtrip_file") + "/snapshot.qse";
 
   StatusOr<SnapshotContents> missing = ReadSnapshotFile(path);
   ASSERT_FALSE(missing.ok());

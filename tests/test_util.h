@@ -2,20 +2,45 @@
 #define QSE_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
 #include <cstring>
+#include <filesystem>
 #include <numeric>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "src/data/dataset.h"
 #include "src/distance/lp.h"
 #include "src/retrieval/embedded_database.h"
 #include "src/retrieval/retrieval_backend.h"
+#include "src/util/logging.h"
 #include "src/util/random.h"
 
 namespace qse {
 namespace test {
+
+/// A new, empty directory under gtest's temp dir named `name` plus a
+/// mkdtemp suffix, so tests running in parallel processes (ctest -j) or
+/// from two checkouts on one host never share one.  Removed with its
+/// contents when the process exits.
+inline std::string FreshDir(const std::string& name) {
+  struct Created {
+    std::vector<std::string> dirs;
+    ~Created() {
+      for (const std::string& dir : dirs) {
+        std::error_code ignored;
+        std::filesystem::remove_all(dir, ignored);
+      }
+    }
+  };
+  static Created created;
+  std::string dir = ::testing::TempDir() + "/" + name + "_XXXXXX";
+  QSE_CHECK_MSG(::mkdtemp(dir.data()) != nullptr, "mkdtemp " << dir);
+  created.dirs.push_back(dir);
+  return dir;
+}
 
 /// Shorthand for the common k/p/num_threads envelope in tests.
 inline RetrievalOptions Opts(size_t k, size_t p, size_t num_threads = 0) {

@@ -27,6 +27,7 @@
 #include "src/retrieval/retrieval_engine.h"
 #include "src/util/logging.h"
 #include "tests/line_universe.h"
+#include "tests/test_util.h"
 
 namespace qse {
 namespace persist {
@@ -35,15 +36,6 @@ namespace {
 using test::kLineDims;
 using test::LineEmbedder;
 using test::XOf;
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  ::mkdir(dir.c_str(), 0755);
-  std::remove((dir + "/wal.qse").c_str());
-  std::remove((dir + "/snapshot.qse").c_str());
-  std::remove((dir + "/snapshot.qse.tmp").c_str());
-  return dir;
-}
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -157,7 +149,7 @@ void ExpectRepairedRecoveryMatchesPrefix(
 constexpr size_t kRefRecords = 24;
 
 TEST(WalFuzz, TruncatedTails) {
-  const std::string dir = FreshDir("wal_fuzz_trunc");
+  const std::string dir = test::FreshDir("wal_fuzz_trunc");
   const ReferenceWal ref = BuildReferenceWal(dir, kRefRecords);
 
   std::vector<size_t> cuts;
@@ -187,7 +179,7 @@ TEST(WalFuzz, TruncatedTails) {
 }
 
 TEST(WalFuzz, SingleBitFlips) {
-  const std::string dir = FreshDir("wal_fuzz_flip");
+  const std::string dir = test::FreshDir("wal_fuzz_flip");
   const ReferenceWal ref = BuildReferenceWal(dir, kRefRecords);
 
   for (size_t pos = 0; pos < ref.bytes.size(); pos += 7) {
@@ -226,7 +218,7 @@ TEST(WalFuzz, SingleBitFlips) {
 }
 
 TEST(WalFuzz, DuplicatedRecordIsParsedButNotReplayed) {
-  const std::string dir = FreshDir("wal_fuzz_dup");
+  const std::string dir = test::FreshDir("wal_fuzz_dup");
   const ReferenceWal ref = BuildReferenceWal(dir, kRefRecords);
 
   // Byte range of record 5: walk the frames.
@@ -272,7 +264,7 @@ TEST(WalFuzz, DuplicatedRecordIsParsedButNotReplayed) {
 }
 
 TEST(WalFuzz, LyingLengthPrefixes) {
-  const std::string dir = FreshDir("wal_fuzz_len");
+  const std::string dir = test::FreshDir("wal_fuzz_len");
   const ReferenceWal ref = BuildReferenceWal(dir, kRefRecords);
 
   // Patch record 3's length field three ways.
@@ -321,7 +313,7 @@ std::string BuildReferenceSnapshot(const std::string& path) {
 }
 
 TEST(SnapshotFuzz, BitFlipsAlwaysFailDataLossNeverCrash) {
-  const std::string dir = FreshDir("snapshot_fuzz_flip");
+  const std::string dir = test::FreshDir("snapshot_fuzz_flip");
   const std::string path = dir + "/snapshot.qse";
   const std::string clean = BuildReferenceSnapshot(path);
 
@@ -345,7 +337,7 @@ TEST(SnapshotFuzz, BitFlipsAlwaysFailDataLossNeverCrash) {
 }
 
 TEST(SnapshotFuzz, TruncationsAlwaysFailDataLossNeverCrash) {
-  const std::string dir = FreshDir("snapshot_fuzz_trunc");
+  const std::string dir = test::FreshDir("snapshot_fuzz_trunc");
   const std::string path = dir + "/snapshot.qse";
   const std::string clean = BuildReferenceSnapshot(path);
 
@@ -359,7 +351,7 @@ TEST(SnapshotFuzz, TruncationsAlwaysFailDataLossNeverCrash) {
 }
 
 TEST(SnapshotFuzz, TrailingGarbageFailsDataLoss) {
-  const std::string dir = FreshDir("snapshot_fuzz_trailing");
+  const std::string dir = test::FreshDir("snapshot_fuzz_trailing");
   const std::string path = dir + "/snapshot.qse";
   const std::string clean = BuildReferenceSnapshot(path);
   WriteFile(path, clean + "extra");
