@@ -11,7 +11,6 @@
 #include "src/data/timeseries_generator.h"
 #include "src/distance/dtw.h"
 #include "src/distance/edit_distance.h"
-#include "src/distance/kl_divergence.h"
 #include "src/distance/lp.h"
 #include "src/distance/point_set.h"
 #include "src/distance/weighted_l1.h"
@@ -61,19 +60,6 @@ void BM_L2Distance(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_L2Distance);
-
-void BM_KlDivergence(benchmark::State& state) {
-  Rng rng(4);
-  Vector a(64), b(64);
-  for (size_t i = 0; i < 64; ++i) {
-    a[i] = rng.Uniform(0, 1);
-    b[i] = rng.Uniform(0, 1);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(KlDivergence(a, b));
-  }
-}
-BENCHMARK(BM_KlDivergence);
 
 void BM_EditDistance(benchmark::State& state) {
   Rng rng(5);

@@ -793,11 +793,11 @@ int main(int argc, char** argv) {
             &stack.model, "127.0.0.1", ports[s][r]));
       }
       hedged_shards.push_back(std::make_shared<net::HedgedReplicaBackend>(
-          replicas, net::HedgedBackendOptions{}));
+          &stack.model, replicas, net::HedgedBackendOptions{}));
       net::HedgedBackendOptions hedge_off;
       hedge_off.enable_hedging = false;
       nohedge_shards.push_back(std::make_shared<net::HedgedReplicaBackend>(
-          std::move(replicas), hedge_off));
+          &stack.model, std::move(replicas), hedge_off));
     }
     ShardedRetrievalEngine hedged_cluster(&stack.model, hedged_shards);
     ShardedRetrievalEngine nohedge_cluster(&stack.model, nohedge_shards);

@@ -99,7 +99,7 @@ int main() {
                   s == 0 && r == 1 ? "  [degraded]" : "");
     }
     shards.push_back(std::make_shared<net::HedgedReplicaBackend>(
-        replicas, net::HedgedBackendOptions{}));
+        &model, replicas, net::HedgedBackendOptions{}));
   }
 
   // --- The router: the same sharded engine used for in-process

@@ -14,7 +14,7 @@ namespace qse {
 using DxToDatabaseFn = std::function<double(size_t db_id)>;
 
 /// Common interface of every embedding method in the repo (BoostMap
-/// variants, FastMap, Lipschitz): map an object into R^d by evaluating a
+/// variants, FastMap): map an object into R^d by evaluating a
 /// bounded number of exact distances to database objects.
 ///
 /// All methods in this family share the two properties the paper

@@ -1,7 +1,6 @@
 #include "src/net/hedged_backend.h"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -13,9 +12,10 @@ namespace qse {
 namespace net {
 
 HedgedReplicaBackend::HedgedReplicaBackend(
+    const Embedder* embedder,
     std::vector<std::shared_ptr<RetrievalBackend>> replicas,
     HedgedBackendOptions options)
-    : replicas_(std::move(replicas)), options_(options) {
+    : embedder_(embedder), replicas_(std::move(replicas)), options_(options) {
   QSE_CHECK_MSG(!replicas_.empty(), "a replica set needs at least 1 replica");
   auto& registry = obs::MetricRegistry::Global();
   replica_metrics_.reserve(replicas_.size());
@@ -32,6 +32,13 @@ HedgedReplicaBackend::HedgedReplicaBackend(
   }
   hedged_fired_total_ = registry.GetCounter("qse_hedged_fired_total");
   hedged_wins_total_ = registry.GetCounter("qse_hedged_wins_total");
+  pipeline_.embedder = embedder_;
+  pipeline_.scan = [this](size_t, const std::vector<Vector>& embedded_queries,
+                          const RetrievalOptions& options,
+                          obs::RequestTrace*) {
+    return PendingScan(ScanCandidatesBatch(embedded_queries, options));
+  };
+  pipeline_.scan_span = "hedged_scan";
 }
 
 HedgedReplicaBackend::~HedgedReplicaBackend() {
@@ -53,27 +60,52 @@ std::chrono::nanoseconds HedgedReplicaBackend::HedgeDelayFor(size_t r) const {
       delay, options_.min_hedge_delay, options_.max_hedge_delay);
 }
 
-template <typename T>
 struct HedgedReplicaBackend::CallState {
+  /// The scan every attempt runs, owned here: a losing attempt keeps
+  /// running after the winner returns.
+  std::vector<Vector> queries;
+  RetrievalOptions options;
   std::mutex mu;
   std::condition_variable cv;
-  std::optional<T> value;  // first success, whoever produced it
+  /// First success, whoever produced it.
+  std::optional<std::vector<ScanCandidatesResult>> value;
   size_t winner_replica = 0;
   bool winner_was_hedge = false;
   size_t finished = 0;  // attempts that completed, either way
   Status last_error = Status::Internal("no replica attempted");
 };
 
-template <typename T>
-StatusOr<T> HedgedReplicaBackend::HedgedCall(
-    const std::function<StatusOr<T>(size_t)>& attempt) const {
+StatusOr<RetrievalResponse> HedgedReplicaBackend::Retrieve(
+    const RetrievalRequest& request) const {
+  return OnlyResponse(
+      pipeline_.Run(&request.dx, 1, request.options, request.trace));
+}
+
+StatusOr<std::vector<RetrievalResponse>> HedgedReplicaBackend::RetrieveBatch(
+    const std::vector<DxToDatabaseFn>& queries,
+    const RetrievalOptions& options) const {
+  return pipeline_.Run(queries.data(), queries.size(), options);
+}
+
+StatusOr<ScanCandidatesResult> HedgedReplicaBackend::ScanCandidates(
+    const Vector& embedded_query, const RetrievalOptions& options) const {
+  StatusOr<std::vector<ScanCandidatesResult>> batch =
+      ScanCandidatesBatch({embedded_query}, options);
+  QSE_RETURN_IF_ERROR(batch.status());
+  return std::move(batch->front());
+}
+
+StatusOr<std::vector<ScanCandidatesResult>>
+HedgedReplicaBackend::ScanCandidatesBatch(
+    const std::vector<Vector>& embedded_queries,
+    const RetrievalOptions& options) const {
+  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
   const size_t n = replicas_.size();
   const size_t primary = next_primary_.fetch_add(1, std::memory_order_relaxed);
-  auto state = std::make_shared<CallState<T>>();
-  // Detached attempt threads need the attempt callable to outlive this
-  // frame: a losing attempt keeps running after the winner returns.
-  auto shared_attempt =
-      std::make_shared<std::function<StatusOr<T>(size_t)>>(attempt);
+  auto state = std::make_shared<CallState>();
+  state->queries = embedded_queries;
+  state->options = options;
+  state->options.audit_monitor = nullptr;  // audits sample at the top only
 
   size_t launched = 0;
   auto launch_next = [&](bool is_hedge) {
@@ -88,9 +120,10 @@ StatusOr<T> HedgedReplicaBackend::HedgedCall(
       std::lock_guard<std::mutex> lock(inflight_mu_);
       ++inflight_;
     }
-    std::thread([this, state, shared_attempt, r, is_hedge] {
+    std::thread([this, state, r, is_hedge] {
       const MonotonicClock::time_point start = MonotonicClock::now();
-      StatusOr<T> result = (*shared_attempt)(r);
+      StatusOr<std::vector<ScanCandidatesResult>> result =
+          replicas_[r]->ScanCandidatesBatch(state->queries, state->options);
       if (result.ok()) {
         // Successful latencies only: connect timeouts and refusals from
         // a dead replica must not inflate its hedge delay for later.
@@ -161,46 +194,8 @@ StatusOr<T> HedgedReplicaBackend::HedgedCall(
   return std::move(*state->value);
 }
 
-StatusOr<RetrievalResponse> HedgedReplicaBackend::Retrieve(
-    const RetrievalRequest& request) const {
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(request.options));
-  // The attempt callable owns a COPY of the request: a losing attempt
-  // may still be evaluating request.dx after this call returned, so the
-  // dx closure must be safe for concurrent invocation (every closure in
-  // the repo is: they read immutable datasets).
-  RetrievalRequest copy = request;
-  return HedgedCall<RetrievalResponse>(
-      [this, copy](size_t r) { return replicas_[r]->Retrieve(copy); });
-}
-
-StatusOr<ScanCandidatesResult> HedgedReplicaBackend::ScanCandidates(
-    const Vector& embedded_query, const RetrievalOptions& options) const {
-  StatusOr<std::vector<ScanCandidatesResult>> batch =
-      ScanCandidatesBatch({embedded_query}, options);
-  QSE_RETURN_IF_ERROR(batch.status());
-  return std::move(batch->front());
-}
-
-StatusOr<std::vector<ScanCandidatesResult>>
-HedgedReplicaBackend::ScanCandidatesBatch(
-    const std::vector<Vector>& embedded_queries,
-    const RetrievalOptions& options) const {
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  RetrievalOptions opts = options;
-  opts.audit_monitor = nullptr;  // audits sample at the top engine only
-  return HedgedCall<std::vector<ScanCandidatesResult>>(
-      [this, embedded_queries, opts](size_t r) {
-        return replicas_[r]->ScanCandidatesBatch(embedded_queries, opts);
-      });
-}
-
 Status HedgedReplicaBackend::Insert(size_t db_id, const DxToDatabaseFn& dx) {
-  Status first_error = Status::OK();
-  for (auto& replica : replicas_) {
-    Status status = replica->Insert(db_id, dx);
-    if (!status.ok() && first_error.ok()) first_error = status;
-  }
-  return first_error;
+  return InsertEmbedded(db_id, embedder_->Embed(dx));
 }
 
 Status HedgedReplicaBackend::InsertEmbedded(size_t db_id,

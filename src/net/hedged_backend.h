@@ -11,6 +11,7 @@
 
 #include "src/obs/metric_registry.h"
 #include "src/retrieval/retrieval_backend.h"
+#include "src/retrieval/retrieval_pipeline.h"
 #include "src/util/status.h"
 #include "src/util/statusor.h"
 
@@ -34,11 +35,18 @@ struct HedgedBackendOptions {
   uint64_t min_samples_for_quantile = 32;
 };
 
-/// N replicas of the SAME data behind one RetrievalBackend: reads go to
+/// N replicas of the SAME data behind one RetrievalBackend: scans go to
 /// one replica and are hedged to the next when the first is slow
 /// (first response wins), writes are broadcast to all.
 ///
-/// Hedging policy: every read records its latency into the serving
+/// Retrieve and RetrieveBatch are the shared RetrievalPipeline with the
+/// hedged ScanCandidatesBatch as its single source: the query is
+/// embedded once here, only the scan is raced across replicas, and the
+/// refine runs once on the caller's thread, so every exact distance a
+/// response reports was spent before it returned and none after.
+/// Insert embeds once here and broadcasts the row (InsertEmbedded).
+///
+/// Hedging policy: every scan records its latency into the serving
 /// replica's histogram; an attempt outstanding longer than that
 /// replica's own observed `hedge_quantile` latency (clamped to
 /// [min, max]_hedge_delay) triggers one backup attempt on the next
@@ -52,20 +60,29 @@ struct HedgedBackendOptions {
 /// response — whichever replica served it — is THE response;
 /// scatter-level determinism is unaffected by which replica won.
 ///
-/// Thread-safety: all reads are const and concurrent; broadcasts follow
-/// the replicas' own mutation contracts.  Hedge attempts run on
-/// detached threads that share state via shared_ptr, so a slow loser
-/// finishing after the winner (or after this object is destroyed —
-/// destruction waits for stragglers) touches only its own call state.
+/// Thread-safety: all retrievals and scans are const and concurrent; broadcasts follow
+/// the replicas' own mutation contracts.  Scan attempts run on detached
+/// threads that share state via shared_ptr, so a slow loser finishing
+/// after the winner touches only its own call state; destruction waits
+/// for stragglers.
 class HedgedReplicaBackend : public RetrievalBackend {
  public:
-  explicit HedgedReplicaBackend(
-      std::vector<std::shared_ptr<RetrievalBackend>> replicas,
-      HedgedBackendOptions options = {});
+  /// `embedder` runs the embedding step and must match the replicas'
+  /// dimensionality.  Borrowed, must outlive this.
+  HedgedReplicaBackend(const Embedder* embedder,
+                       std::vector<std::shared_ptr<RetrievalBackend>> replicas,
+                       HedgedBackendOptions options = {});
   ~HedgedReplicaBackend() override;
 
+  /// The pipeline: embeds, hedges the scan, refines with request.dx.
   StatusOr<RetrievalResponse> Retrieve(
       const RetrievalRequest& request) const override;
+
+  /// The pipeline over a batch: one hedged scan per query group (one
+  /// group unless options.num_threads splits it).
+  StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
+      const std::vector<DxToDatabaseFn>& queries,
+      const RetrievalOptions& options) const override;
 
   /// ScanCandidatesBatch of one query.
   StatusOr<ScanCandidatesResult> ScanCandidates(
@@ -78,10 +95,12 @@ class HedgedReplicaBackend : public RetrievalBackend {
       const std::vector<Vector>& embedded_queries,
       const RetrievalOptions& options) const override;
 
-  /// Broadcast to every replica (replica sets must stay identical).
-  /// The first error is returned, but all replicas are still attempted:
-  /// a dead replica must not leave the live ones diverging.
+  /// Embeds once, then InsertEmbedded.
   Status Insert(size_t db_id, const DxToDatabaseFn& dx) override;
+  /// InsertEmbedded and Remove broadcast to every replica (replica sets
+  /// must stay identical).  The first error is returned, but all
+  /// replicas are still attempted: a dead replica must not leave the
+  /// live ones diverging.
   Status InsertEmbedded(size_t db_id, const Vector& embedded_row) override;
   Status Remove(size_t db_id) override;
 
@@ -92,19 +111,13 @@ class HedgedReplicaBackend : public RetrievalBackend {
   size_t num_replicas() const { return replicas_.size(); }
 
  private:
-  template <typename T>
   struct CallState;
-
-  /// The hedged read driver shared by Retrieve and ScanCandidatesBatch:
-  /// `attempt(replica_index)` runs one try against one replica.
-  template <typename T>
-  StatusOr<T> HedgedCall(
-      const std::function<StatusOr<T>(size_t)>& attempt) const;
 
   /// Hedge delay for an attempt on replica `r`, from that replica's own
   /// latency history.
   std::chrono::nanoseconds HedgeDelayFor(size_t r) const;
 
+  const Embedder* embedder_;
   std::vector<std::shared_ptr<RetrievalBackend>> replicas_;
   HedgedBackendOptions options_;
   mutable std::atomic<size_t> next_primary_{0};
@@ -126,6 +139,7 @@ class HedgedReplicaBackend : public RetrievalBackend {
   std::vector<ReplicaMetrics> replica_metrics_;
   obs::Counter* hedged_fired_total_;
   obs::Counter* hedged_wins_total_;
+  RetrievalPipeline pipeline_;
 };
 
 }  // namespace net

@@ -311,14 +311,14 @@ PendingScan RemoteRetrievalBackend::StartScan(
 
 StatusOr<RetrievalResponse> RemoteRetrievalBackend::Retrieve(
     const RetrievalRequest& request) const {
-  return pipeline_.Retrieve(request.dx, request.options, /*scan_threads=*/1,
-                            request.trace);
+  return OnlyResponse(
+      pipeline_.Run(&request.dx, 1, request.options, request.trace));
 }
 
 StatusOr<std::vector<RetrievalResponse>> RemoteRetrievalBackend::RetrieveBatch(
     const std::vector<DxToDatabaseFn>& queries,
     const RetrievalOptions& options) const {
-  return pipeline_.RetrieveBatch(queries, options);
+  return pipeline_.Run(queries.data(), queries.size(), options);
 }
 
 Status RemoteRetrievalBackend::Insert(size_t db_id, const DxToDatabaseFn& dx) {

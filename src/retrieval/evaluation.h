@@ -30,7 +30,7 @@ GroundTruth ComputeGroundTruth(const DistanceOracle& oracle,
 /// neighbors appear among the top p filter results.
 struct LadderPoint {
   /// Caller-defined sweep parameter (boosting-round prefix for BoostMap
-  /// models, dimensionality for FastMap/Lipschitz).
+  /// models, dimensionality for FastMap).
   size_t param = 0;
   /// Dimensionality of the embedding at this point.
   size_t dims = 0;

@@ -23,7 +23,7 @@ struct FilterScanStats {
 
 /// Scores an embedded query against every database row; the filter step's
 /// ranking function.  Implementations: the query-sensitive D_out for
-/// BoostMap models, plain L2 for FastMap, plain L1 for Lipschitz.
+/// BoostMap models, plain L2 for FastMap, plain L1.
 ///
 /// Scorers consume an EmbeddedDatabase::View — an immutable (rows, count)
 /// view of one published database version.  The engines pass their
@@ -141,7 +141,7 @@ class L2Scorer : public FilterScorer {
       std::vector<FilterScanStats>* scan_stats = nullptr) const override;
 };
 
-/// Unweighted L1 scorer (Lipschitz embeddings).
+/// Unweighted L1 scorer.
 class L1Scorer : public FilterScorer {
  public:
   void Score(const Vector& embedded_query, const EmbeddedDatabase::View& db,

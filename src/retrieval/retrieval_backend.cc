@@ -1,9 +1,6 @@
 #include "src/retrieval/retrieval_backend.h"
 
-#include <mutex>
 #include <utility>
-
-#include "src/util/parallel.h"
 
 namespace qse {
 
@@ -38,34 +35,6 @@ Status ValidateRetrievalOptions(const RetrievalOptions& options) {
         std::to_string(static_cast<size_t>(options.filter_precision)));
   }
   return Status::OK();
-}
-
-StatusOr<std::vector<RetrievalResponse>> RetrievalBackend::RetrieveBatch(
-    const std::vector<DxToDatabaseFn>& queries,
-    const RetrievalOptions& options) const {
-  // Validate once up front so a bad parameter fails the whole batch
-  // instead of every entry failing identically in parallel.
-  QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
-  std::vector<RetrievalResponse> results(queries.size());
-  std::mutex error_mu;
-  Status first_error = Status::OK();
-  // Grain 2: one item is a whole filter-and-refine retrieval, expensive
-  // enough to parallelize even a handful of queries.
-  ParallelForGrain(
-      0, queries.size(), 2,
-      [&](size_t i) {
-        StatusOr<RetrievalResponse> r =
-            Retrieve({queries[i], options, /*trace=*/nullptr});
-        if (!r.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = r.status();
-          return;
-        }
-        results[i] = std::move(r).value();
-      },
-      options.num_threads);
-  QSE_RETURN_IF_ERROR(first_error);
-  return results;
 }
 
 StatusOr<std::vector<ScanCandidatesResult>>

@@ -55,15 +55,18 @@ struct RetrievalOptions {
   size_t k = 1;
   /// Filter candidates to refine with exact distances; the paper's p.
   size_t p = 1;
-  /// Threads T for RetrieveBatch; 0 means hardware concurrency.  Ignored
-  /// by single-query Retrieve.  A batch runs in three phases — embed
-  /// every query, scan every source once for the whole batch, merge and
-  /// refine every query — and the scan phase's parallel work items are
-  /// (source, query group): with S >= T sources each source is one item
-  /// scanning all queries, with S < T each source's queries split into
-  /// ceil(T / S) groups so no thread idles.  The async server
-  /// substitutes its own retrieve_threads policy: a request does not get
-  /// to choose the server's parallelism.
+  /// Threads T for Retrieve and RetrieveBatch alike; 0 means hardware
+  /// concurrency.  A retrieval is a batch (Retrieve is the batch of one)
+  /// and runs in three phases — embed every query, scan every source
+  /// once for the whole batch, merge and refine every query — and the
+  /// scan phase's parallel work items are (source, query group): with
+  /// S >= T sources each source is one item scanning all queries, with
+  /// S < T each source's queries split into ceil(T / S) groups so no
+  /// thread idles.  So a single Retrieve over a sharded engine scatters
+  /// its S shard scans across T threads, and a single-source backend
+  /// runs it on the calling thread.  The async server substitutes its
+  /// own retrieve_threads policy: a request does not get to choose the
+  /// server's parallelism.
   size_t num_threads = 0;
   /// When true the response's shard_stats is filled: per-shard scan and
   /// candidate counters from the sharded engine, or the whole database
@@ -222,10 +225,15 @@ class PendingScan {
 };
 
 /// The serving-facing face of a retrieval engine: the filter-and-refine
-/// query API plus incremental mutation, shared by the monolithic
-/// RetrievalEngine and the sharded scatter/gather engine so examples,
-/// evaluation drivers and the serving layer can swap one for the other
-/// behind a single interface.
+/// query API plus incremental mutation, so examples, evaluation drivers
+/// and the serving layer can swap one backend for another behind a
+/// single interface.  Every backend that retrieves — the monolithic
+/// RetrievalEngine, the sharded scatter/gather engine, the remote stub
+/// and the hedged replica set — runs Retrieve and RetrieveBatch through
+/// the one RetrievalPipeline (retrieval_pipeline.h) over its own scan
+/// sources; a decorator (DurableBackend) forwards both to the backend it
+/// wraps.  The scan methods are what a backend contributes as a source
+/// of another backend's pipeline.
 ///
 /// Contract, identical across implementations:
 ///  * Retrieve validates options via ValidateRetrievalOptions and
@@ -253,11 +261,10 @@ class RetrievalBackend {
   /// Retrieves a batch of queries sharing one options envelope, in
   /// parallel across options.num_threads workers; results[i] corresponds
   /// to queries[i], and the first error fails the batch (a concurrent
-  /// mutation stream can still empty the database mid-batch).  Default:
-  /// Retrieve per query, for backends with no pipeline of their own.
+  /// mutation stream can still empty the database mid-batch).
   virtual StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
       const std::vector<DxToDatabaseFn>& queries,
-      const RetrievalOptions& options) const;
+      const RetrievalOptions& options) const = 0;
 
   /// Embeds a new object via `dx` and adds it under `db_id`.
   virtual Status Insert(size_t db_id, const DxToDatabaseFn& dx) = 0;

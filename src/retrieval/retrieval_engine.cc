@@ -51,14 +51,14 @@ RetrievalEngine::RetrievalEngine(const Embedder* embedder,
 
 StatusOr<RetrievalResponse> RetrievalEngine::Retrieve(
     const RetrievalRequest& request) const {
-  return pipeline_.Retrieve(request.dx, request.options, /*scan_threads=*/1,
-                            request.trace);
+  return OnlyResponse(
+      pipeline_.Run(&request.dx, 1, request.options, request.trace));
 }
 
 StatusOr<std::vector<RetrievalResponse>> RetrievalEngine::RetrieveBatch(
     const std::vector<DxToDatabaseFn>& queries,
     const RetrievalOptions& options) const {
-  return pipeline_.RetrieveBatch(queries, options);
+  return pipeline_.Run(queries.data(), queries.size(), options);
 }
 
 StatusOr<ScanCandidatesResult> RetrievalEngine::ScanCandidates(

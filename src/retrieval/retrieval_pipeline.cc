@@ -24,26 +24,15 @@ void RecordSince(obs::Histogram* histogram, MonotonicClock::time_point start) {
 
 }  // namespace
 
-StatusOr<RetrievalResponse> RetrievalPipeline::Retrieve(
-    const DxToDatabaseFn& dx, const RetrievalOptions& options,
-    size_t scan_threads,
-    const std::shared_ptr<obs::RequestTrace>& trace) const {
-  StatusOr<std::vector<RetrievalResponse>> responses =
-      Run(&dx, 1, options, scan_threads, trace);
-  QSE_RETURN_IF_ERROR(responses.status());
-  return std::move(responses->front());
-}
-
-StatusOr<std::vector<RetrievalResponse>> RetrievalPipeline::RetrieveBatch(
-    const std::vector<DxToDatabaseFn>& queries,
-    const RetrievalOptions& options) const {
-  return Run(queries.data(), queries.size(), options, options.num_threads,
-             /*trace=*/nullptr);
+StatusOr<RetrievalResponse> OnlyResponse(
+    StatusOr<std::vector<RetrievalResponse>> batch) {
+  QSE_RETURN_IF_ERROR(batch.status());
+  return std::move(batch->front());
 }
 
 StatusOr<std::vector<RetrievalResponse>> RetrievalPipeline::Run(
     const DxToDatabaseFn* queries, size_t count,
-    const RetrievalOptions& options, size_t threads,
+    const RetrievalOptions& options,
     const std::shared_ptr<obs::RequestTrace>& trace_ptr) const {
   obs::RequestTrace* trace = trace_ptr.get();
   QSE_RETURN_IF_ERROR(ValidateRetrievalOptions(options));
@@ -52,7 +41,8 @@ StatusOr<std::vector<RetrievalResponse>> RetrievalPipeline::Run(
   if (known_empty && known_empty()) {
     return Status::FailedPrecondition("embedded database is empty");
   }
-  if (threads == 0) threads = DefaultParallelism();
+  const size_t threads = options.num_threads == 0 ? DefaultParallelism()
+                                                 : options.num_threads;
   // The first failure — a remote peer down mid fan-out, a database
   // emptied by concurrent removals — fails the batch.
   std::mutex error_mu;

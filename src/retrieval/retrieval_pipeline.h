@@ -45,9 +45,9 @@ using ScanSourceFn = std::function<PendingScan(
 /// The paper's retrieval (Sec. 8) over N scan sources — the one
 /// filter-and-refine implementation behind every backend: the monolithic
 /// engine is N = 1 over its own scan, the remote stub N = 1 over its
-/// kScan RPC, and the sharded engine N = S over its shards.  One body
-/// serves a batch of B queries (a single Retrieve is B = 1) in three
-/// phases:
+/// kScan RPC, the hedged replica set N = 1 over its hedged scan, and the
+/// sharded engine N = S over its shards.  One body serves a batch of B
+/// queries (a single Retrieve is B = 1) in three phases:
 ///
 ///  1. Embed every query once (<= 2d exact distances each).
 ///  2. Scan every source once for the whole batch — one memory pass per
@@ -74,32 +74,23 @@ struct RetrievalPipeline {
   const char* scan_span = "filter_scan";
   PipelineMetrics metrics;
 
-  /// One retrieval, the batch of one: validate, embed, scan the sources
-  /// in parallel across `scan_threads`, merge, refine; then fill
-  /// shard_stats (want_stats), record counters and the request's spans,
-  /// and offer the response to options.audit_monitor.  A sampled request
-  /// asks every source for its pinned snapshot; the audit runs only when
-  /// all of them hand one back (never over remote sources).
-  StatusOr<RetrievalResponse> Retrieve(
-      const DxToDatabaseFn& dx, const RetrievalOptions& options,
-      size_t scan_threads,
-      const std::shared_ptr<obs::RequestTrace>& trace) const;
-
-  /// The batch: the same body over every query, across
-  /// options.num_threads threads (see RetrievalOptions::num_threads for
-  /// the scan phase's work items).  results[i] is bit-identical to
-  /// Retrieve(queries[i], ...); a sampled request is audited against the
-  /// snapshots its scan pass pinned.
-  StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
-      const std::vector<DxToDatabaseFn>& queries,
-      const RetrievalOptions& options) const;
-
- private:
-  /// The body: `trace` is non-null only for a traced batch of one.
+  /// The one entry, for a batch of B = `count` queries (a single
+  /// Retrieve is B = 1): validate, embed, scan the sources, merge,
+  /// refine, across options.num_threads threads (see
+  /// RetrievalOptions::num_threads for the scan phase's work items);
+  /// then fill shard_stats (want_stats), record counters, and offer each
+  /// response to options.audit_monitor.  A sampled request asks every
+  /// source for its pinned snapshot and is audited against the snapshots
+  /// its scan pass pinned; the audit runs only when all of them hand one
+  /// back (never over remote sources).  `trace` is the request's trace
+  /// for a traced batch of one, null otherwise.  results[i] does not
+  /// depend on the batch queries[i] rode in.
   StatusOr<std::vector<RetrievalResponse>> Run(
       const DxToDatabaseFn* queries, size_t count,
-      const RetrievalOptions& options, size_t threads,
-      const std::shared_ptr<obs::RequestTrace>& trace) const;
+      const RetrievalOptions& options,
+      const std::shared_ptr<obs::RequestTrace>& trace = nullptr) const;
+
+ private:
   /// Phase 3 for one query: merges its per-source `scans`, refines with
   /// `dx` into `response` (which already holds the embedding cost), and
   /// submits the audit when `audit` and every source pinned a snapshot.
@@ -108,6 +99,11 @@ struct RetrievalPipeline {
                 std::vector<ScanCandidatesResult>* scans,
                 RetrievalResponse* response) const;
 };
+
+/// The one response of a Run over a batch of one: what a backend's
+/// Retrieve returns.
+StatusOr<RetrievalResponse> OnlyResponse(
+    StatusOr<std::vector<RetrievalResponse>> batch);
 
 }  // namespace qse
 

@@ -119,14 +119,14 @@ void ShardedRetrievalEngine::InitPipeline() {
 
 StatusOr<RetrievalResponse> ShardedRetrievalEngine::Retrieve(
     const RetrievalRequest& request) const {
-  return pipeline_.Retrieve(request.dx, request.options,
-                            options_.scatter_threads, request.trace);
+  return OnlyResponse(
+      pipeline_.Run(&request.dx, 1, request.options, request.trace));
 }
 
 StatusOr<std::vector<RetrievalResponse>> ShardedRetrievalEngine::RetrieveBatch(
     const std::vector<DxToDatabaseFn>& queries,
     const RetrievalOptions& options) const {
-  return pipeline_.RetrieveBatch(queries, options);
+  return pipeline_.Run(queries.data(), queries.size(), options);
 }
 
 Status ShardedRetrievalEngine::Insert(size_t db_id, const DxToDatabaseFn& dx) {

@@ -26,13 +26,6 @@ size_t HashShardOf(size_t db_id, size_t num_shards);
 struct ShardedEngineOptions {
   /// Number of shards S.  0 means one shard per hardware core.
   size_t num_shards = 0;
-  /// Threads used to scatter ONE query's filter step across shards
-  /// (Retrieve).  0 means hardware concurrency.  RetrieveBatch ignores
-  /// this and uses options.num_threads = T: each shard is scanned once
-  /// for the whole batch, one work item per shard when S >= T, and with
-  /// S < T each shard's queries split into ceil(T / S) groups so no
-  /// thread idles — one level of parallelism, never nested.
-  size_t scatter_threads = 0;
   /// Filter shadow matrices (kShadowFloat32 | kShadowInt8) every shard
   /// database carries, enabling reduced-precision requests
   /// (RetrievalOptions::filter_precision).  0 = exact-only, no shadow
@@ -108,14 +101,15 @@ class ShardedRetrievalEngine : public RetrievalBackend {
       std::vector<std::shared_ptr<RetrievalBackend>> shard_backends,
       ShardedEngineOptions options = {});
 
-  /// Scatter/gather retrieval; neighbor indices are database ids.  Same
-  /// validation contract as RetrievalEngine::Retrieve.
+  /// Scatter/gather retrieval over options.num_threads threads; neighbor
+  /// indices are database ids.  Same validation contract as
+  /// RetrievalEngine::Retrieve.
   StatusOr<RetrievalResponse> Retrieve(
       const RetrievalRequest& request) const override;
 
-  /// One pass per shard for the whole batch (see scatter_threads for
-  /// the work items); results[i] is bit-identical to
-  /// Retrieve({queries[i], options}).
+  /// One pass per shard for the whole batch (see
+  /// RetrievalOptions::num_threads for the work items); results[i] is
+  /// bit-identical to Retrieve({queries[i], options}).
   StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
       const std::vector<DxToDatabaseFn>& queries,
       const RetrievalOptions& options) const override;

@@ -55,7 +55,6 @@ struct ServingStack {
   static ShardedEngineOptions ShardOptions() {
     ShardedEngineOptions options;
     options.num_shards = 3;
-    options.scatter_threads = 1;
     return options;
   }
 

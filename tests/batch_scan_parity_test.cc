@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -516,7 +517,7 @@ TEST(BatchScanParityTest, HedgedReplicaBatchMatchesPerQueryScans) {
   const ParityStack& s = Stack();
   QuerySensitiveScorer scorer(&s.model);
   ServedShard a(&scorer, s.db_ids), b(&scorer, s.db_ids);
-  net::HedgedReplicaBackend hedged({a.stub, b.stub});
+  net::HedgedReplicaBackend hedged(&s.embedder, {a.stub, b.stub});
   RetrievalOptions options(kK, 40);
   for (size_t n : {1u, 3u, 17u}) {
     SCOPED_TRACE("B=" + std::to_string(n));
@@ -557,7 +558,8 @@ TEST(BatchScanParityTest, HedgedReplicaBatchHedgesASlowReplica) {
   const uint64_t wins_before = wins->Value();
   {
     // The first call's primary is replica 0, the slow one.
-    net::HedgedReplicaBackend hedged({slow_replica.stub, fast.stub}, options);
+    net::HedgedReplicaBackend hedged(&s.embedder,
+                                     {slow_replica.stub, fast.stub}, options);
     const auto start = std::chrono::steady_clock::now();
     StatusOr<std::vector<ScanCandidatesResult>> got =
         hedged.ScanCandidatesBatch(s.embedded_queries,
@@ -575,6 +577,95 @@ TEST(BatchScanParityTest, HedgedReplicaBatchHedgesASlowReplica) {
   }  // waits for the slow straggler
   EXPECT_EQ(fired->Value() - fired_before, 1u);
   EXPECT_EQ(wins->Value() - wins_before, 1u);
+}
+
+/// `dx` with every call counted in `calls`.
+DxToDatabaseFn Counted(DxToDatabaseFn dx, std::atomic<size_t>* calls) {
+  return [dx = std::move(dx), calls](size_t id) {
+    calls->fetch_add(1);
+    return dx(id);
+  };
+}
+
+TEST(BatchScanParityTest, HedgedRetrieveSpendsExactlyTheDistancesItReports) {
+  // Only the scan is hedged: the query is embedded once and refined once
+  // on the caller's thread, so the slow primary's losing attempt spends
+  // no exact distance, neither before the call returns nor after.
+  const ParityStack& s = Stack();
+  QuerySensitiveScorer scorer(&s.model);
+  net::RetrievalServerOptions slow;
+  slow.debug_delay_every_n = 1;
+  slow.debug_delay = std::chrono::milliseconds(300);
+  ServedShard slow_replica(&scorer, s.db_ids, slow), fast(&scorer, s.db_ids);
+  net::HedgedBackendOptions options;
+  options.initial_hedge_delay = std::chrono::milliseconds(10);
+  options.min_hedge_delay = std::chrono::milliseconds(1);
+  const RetrievalOptions ro(kK, 40);
+  std::atomic<size_t> dx_calls{0};
+  size_t reported = 0;
+  {
+    // The first call's primary is replica 0, the slow one.
+    net::HedgedReplicaBackend hedged(&s.embedder,
+                                     {slow_replica.stub, fast.stub}, options);
+    StatusOr<RetrievalResponse> got =
+        hedged.Retrieve({Counted(s.Query(0), &dx_calls), ro});
+    ASSERT_TRUE(got.ok()) << got.status();
+    reported = got->exact_distances;
+    EXPECT_EQ(reported, s.embedder.EmbeddingCost() + 40);
+    EXPECT_EQ(dx_calls.load(), reported);
+    StatusOr<RetrievalResponse> want = fast.engine->Retrieve({s.Query(0), ro});
+    ASSERT_TRUE(want.ok()) << want.status();
+    EXPECT_EQ(got->neighbors, want->neighbors);
+  }  // waits for the slow straggler
+  EXPECT_EQ(dx_calls.load(), reported);
+}
+
+TEST(BatchScanParityTest, HedgedRetrieveBatchIsOneKScan) {
+  const ParityStack& s = Stack();
+  QuerySensitiveScorer scorer(&s.model);
+  ServedShard a(&scorer, s.db_ids), b(&scorer, s.db_ids);
+  // A hedge timer no loopback scan outlasts: the batch is one attempt.
+  net::HedgedBackendOptions options;
+  options.initial_hedge_delay = std::chrono::seconds(60);
+  options.max_hedge_delay = std::chrono::seconds(60);
+  net::HedgedReplicaBackend hedged(&s.embedder, {a.stub, b.stub}, options);
+  std::vector<DxToDatabaseFn> queries;
+  for (size_t q = 0; q < kQueries; ++q) queries.push_back(s.Query(q));
+  obs::Counter* requests = obs::MetricRegistry::Global().GetCounter(
+      "qse_net_server_requests_total");
+  RetrievalOptions ro(kK, 40);
+  ro.num_threads = 1;  // one query group
+  const uint64_t requests_before = requests->Value();
+  StatusOr<std::vector<RetrievalResponse>> got =
+      hedged.RetrieveBatch(queries, ro);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(requests->Value() - requests_before, 1u);
+  ASSERT_EQ(got->size(), kQueries);
+  for (size_t q = 0; q < kQueries; ++q) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    StatusOr<RetrievalResponse> want = a.engine->Retrieve({queries[q], ro});
+    ASSERT_TRUE(want.ok()) << want.status();
+    EXPECT_EQ((*got)[q].neighbors, want->neighbors);
+    EXPECT_EQ((*got)[q].exact_distances, want->exact_distances);
+  }
+}
+
+TEST(BatchScanParityTest, HedgedInsertEmbedsOnceAndBroadcastsTheRow) {
+  const ParityStack& s = Stack();
+  QuerySensitiveScorer scorer(&s.model);
+  ServedShard a(&scorer, s.db_ids), b(&scorer, s.db_ids);
+  net::HedgedReplicaBackend hedged(&s.embedder, {a.stub, b.stub});
+  // Query object kDb + 2 joins the database under its own id.
+  const size_t id = kDb + 2;
+  std::atomic<size_t> dx_calls{0};
+  ASSERT_TRUE(hedged.Insert(id, Counted(s.Query(2), &dx_calls)).ok());
+  EXPECT_EQ(dx_calls.load(), s.embedder.EmbeddingCost());
+  for (const ServedShard* replica : {&a, &b}) {
+    const EmbeddedDatabase& db = replica->engine->db();
+    ASSERT_EQ(db.size(), kDb + 1);
+    EXPECT_EQ(db.id_of(kDb), id);
+    EXPECT_EQ(db.RowVector(kDb), s.embedded_queries[2]);
+  }
 }
 
 }  // namespace

@@ -91,7 +91,22 @@ class FakeReplica : public RetrievalBackend {
   size_t id_;
 };
 
+/// Embeds every object as the one-dimensional origin, spending no exact
+/// distances: the fake replicas ignore the query.
+class OriginEmbedder : public Embedder {
+ public:
+  size_t dims() const override { return 1; }
+  Vector Embed(const DxToDatabaseFn& dx,
+               size_t* num_exact = nullptr) const override {
+    (void)dx;
+    if (num_exact != nullptr) *num_exact = 0;
+    return {0.0};
+  }
+  size_t EmbeddingCost() const override { return 0; }
+};
+
 struct Fixture {
+  OriginEmbedder embedder;
   std::vector<std::shared_ptr<FakeReplica>> fakes;
   std::unique_ptr<HedgedReplicaBackend> hedged;
 
@@ -101,8 +116,8 @@ struct Fixture {
       fakes.push_back(std::make_shared<FakeReplica>(i));
       replicas.push_back(fakes.back());
     }
-    hedged = std::make_unique<HedgedReplicaBackend>(std::move(replicas),
-                                                    options);
+    hedged = std::make_unique<HedgedReplicaBackend>(
+        &embedder, std::move(replicas), options);
   }
 };
 

@@ -1,8 +1,5 @@
-#include <cmath>
-
 #include <gtest/gtest.h>
 
-#include "src/distance/kl_divergence.h"
 #include "src/distance/lp.h"
 #include "src/distance/point_set.h"
 #include "src/distance/weighted_l1.h"
@@ -83,40 +80,6 @@ TEST(WeightedL1Test, ScalesLinearlyInWeights) {
   Vector w2 = {4.0, 6.0};
   EXPECT_NEAR(WeightedL1Distance(a, b, w2),
               2.0 * WeightedL1Distance(a, b, w), 1e-12);
-}
-
-TEST(KlTest, ZeroForIdenticalDistributions) {
-  Vector p = {0.25, 0.25, 0.5};
-  EXPECT_NEAR(KlDivergence(p, p), 0.0, 1e-9);
-}
-
-TEST(KlTest, PositiveForDifferentDistributions) {
-  EXPECT_GT(KlDivergence({0.9, 0.1}, {0.1, 0.9}), 0.1);
-}
-
-TEST(KlTest, AsymmetricInGeneral) {
-  Vector p = {0.8, 0.15, 0.05}, q = {0.2, 0.3, 0.5};
-  EXPECT_NE(KlDivergence(p, q), KlDivergence(q, p));
-}
-
-TEST(KlTest, HandlesUnnormalizedAndZeroBins) {
-  // Counts rather than probabilities, with a zero bin in q.
-  double v = KlDivergence({10, 5, 1}, {8, 0, 8});
-  EXPECT_TRUE(std::isfinite(v));
-  EXPECT_GT(v, 0.0);
-}
-
-TEST(KlTest, SymmetricVersionIsSymmetric) {
-  Vector p = {0.7, 0.2, 0.1}, q = {0.1, 0.6, 0.3};
-  EXPECT_NEAR(SymmetricKlDivergence(p, q), SymmetricKlDivergence(q, p),
-              1e-12);
-}
-
-TEST(KlTest, JensenShannonBounded) {
-  // JS divergence is bounded by ln 2.
-  double v = JensenShannonDivergence({1, 0, 0}, {0, 0, 1});
-  EXPECT_GT(v, 0.0);
-  EXPECT_LE(v, std::log(2.0) + 1e-9);
 }
 
 TEST(ChamferTest, ZeroForIdenticalSets) {

@@ -239,6 +239,7 @@ TEST(QualityMonitorTest, ComposedShardedEngineAuditsOnlyPinnedShards) {
   ShardedRetrievalEngine unpinned(
       &stack.model,
       {engines[0], std::make_shared<net::HedgedReplicaBackend>(
+                       &stack.model,
                        std::vector<std::shared_ptr<RetrievalBackend>>{
                            engines[1]})});
 

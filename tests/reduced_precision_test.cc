@@ -44,7 +44,6 @@ struct PrecisionStack {
   static ShardedEngineOptions ShardOptions() {
     ShardedEngineOptions o;
     o.num_shards = 3;
-    o.scatter_threads = 1;
     o.filter_shadows = kShadowFloat32 | kShadowInt8;
     return o;
   }
@@ -198,7 +197,6 @@ TEST(ReducedPrecisionTest, ShardedConstructionWithoutShadowsRejectsReduced) {
   PrecisionStack s;
   ShardedEngineOptions no_shadows;
   no_shadows.num_shards = 2;
-  no_shadows.scatter_threads = 1;
   ShardedRetrievalEngine bare(&s.model, &s.scorer, s.db, s.db_ids,
                               no_shadows);
   RetrievalOptions ro(1, 5);

@@ -73,7 +73,6 @@ class RequestValidationTest : public ::testing::TestWithParam<Surface> {
   static ShardedEngineOptions ShardOptions() {
     ShardedEngineOptions o;
     o.num_shards = 3;
-    o.scatter_threads = 1;
     return o;
   }
 

@@ -8,7 +8,6 @@
 
 #include "src/core/trainer.h"
 #include "src/embedding/fastmap.h"
-#include "src/embedding/lipschitz.h"
 #include "src/retrieval/embedder_adapters.h"
 #include "src/retrieval/exact_knn.h"
 #include "src/retrieval/filter_refine.h"
@@ -183,15 +182,6 @@ TEST(RetrieveBatchParityTest, L2ScorerWithFastMap) {
   options.dims = 3;
   FastMapModel model = BuildFastMap(s.oracle, s.db_ids, options);
   L2Scorer scorer;
-  ExpectBatchMatchesSingle(s, model, scorer, 2, 12);
-}
-
-TEST(RetrieveBatchParityTest, L1ScorerWithLipschitz) {
-  Stack s = MakeStack(70, 10, 13);
-  LipschitzOptions options;
-  options.dims = 4;
-  LipschitzModel model = BuildLipschitz(s.db_ids, options);
-  L1Scorer scorer;
   ExpectBatchMatchesSingle(s, model, scorer, 2, 12);
 }
 

@@ -89,7 +89,6 @@ struct GoldenStack {
   static ShardedEngineOptions ShardOptions() {
     ShardedEngineOptions o;
     o.num_shards = 3;
-    o.scatter_threads = 1;
     return o;
   }
 
@@ -128,8 +127,9 @@ void ExpectMatchesGolden(const RetrievalBackend& backend,
 TEST(GoldenParityTest, SingleRetrieveMatchesPreRedesignOnBothEngines) {
   GoldenStack s;
   for (const GoldenCase& c : kGoldenCases) {
-    RetrievalRequest request{s.QueryDx(c.query_id),
-                             RetrievalOptions(c.k, c.p)};
+    RetrievalOptions options(c.k, c.p);
+    options.num_threads = 1;
+    RetrievalRequest request{s.QueryDx(c.query_id), options};
     std::string context = "q=" + std::to_string(c.query_id) +
                           " k=" + std::to_string(c.k) +
                           " p=" + std::to_string(c.p);
@@ -186,6 +186,7 @@ TEST(GoldenParityTest, ExplicitExact64PrecisionMatchesPreRedesign) {
   for (const GoldenCase& c : kGoldenCases) {
     RetrievalOptions options(c.k, c.p);
     options.filter_precision = FilterPrecision::kExact64;
+    options.num_threads = 1;
     RetrievalRequest request{s.QueryDx(c.query_id), options};
     std::string context = "exact64 q=" + std::to_string(c.query_id) +
                           " k=" + std::to_string(c.k) +

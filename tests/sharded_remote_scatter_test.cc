@@ -125,6 +125,11 @@ class RendezvousBackend : public RetrievalBackend {
       const RetrievalRequest& request) const override {
     return inner_->Retrieve(request);
   }
+  StatusOr<std::vector<RetrievalResponse>> RetrieveBatch(
+      const std::vector<DxToDatabaseFn>& queries,
+      const RetrievalOptions& options) const override {
+    return inner_->RetrieveBatch(queries, options);
+  }
   StatusOr<std::vector<ScanCandidatesResult>> ScanCandidatesBatch(
       const std::vector<Vector>& embedded_queries,
       const RetrievalOptions& options) const override {
@@ -191,8 +196,7 @@ struct RemoteCluster {
   std::unique_ptr<ShardedRetrievalEngine> engine;
 
   explicit RemoteCluster(Rendezvous* meet = nullptr,
-                         net::RetrievalServerOptions server_options = {},
-                         ShardedEngineOptions engine_options = {}) {
+                         net::RetrievalServerOptions server_options = {}) {
     std::vector<std::vector<size_t>> ids(kShards);
     for (size_t id : U().db_ids) ids[HashShardOf(id, kShards)].push_back(id);
     std::vector<std::shared_ptr<RetrievalBackend>> stubs;
@@ -201,8 +205,8 @@ struct RemoteCluster {
           std::make_unique<ServedShard>(ids[s], meet, server_options));
       stubs.push_back(shards.back()->stub);
     }
-    engine = std::make_unique<ShardedRetrievalEngine>(
-        &U().model, std::move(stubs), engine_options);
+    engine =
+        std::make_unique<ShardedRetrievalEngine>(&U().model, std::move(stubs));
   }
 };
 
@@ -232,9 +236,7 @@ void ExpectMatchesMono(const Mono& mono,
 
 TEST(ShardedRemoteScatterTest, OneThreadScansBothShardsAtOnce) {
   Rendezvous meet;
-  ShardedEngineOptions one_thread;
-  one_thread.scatter_threads = 1;
-  RemoteCluster cluster(&meet, {}, one_thread);
+  RemoteCluster cluster(&meet);
   Mono mono;
   const std::vector<DxToDatabaseFn> queries = U().Queries(kQueries);
   RetrievalOptions options(kK, 40);
@@ -245,7 +247,7 @@ TEST(ShardedRemoteScatterTest, OneThreadScansBothShardsAtOnce) {
   ExpectMatchesMono(mono, queries, options,
                     cluster.engine->RetrieveBatch(queries, options),
                     "RetrieveBatch");
-  // A single Retrieve over one scatter thread overlaps the same way.
+  // A single Retrieve over one thread overlaps the same way.
   StatusOr<RetrievalResponse> single =
       cluster.engine->Retrieve({queries[3], options, /*trace=*/nullptr});
   ASSERT_TRUE(single.ok()) << single.status();

@@ -59,8 +59,8 @@ void ExpectSameResult(const RetrievalEngine& mono,
   }
 }
 
-/// Full parity sweep of one embedder/scorer pair: shard counts x scatter
-/// thread counts x p values, Retrieve and RetrieveBatch.
+/// Full parity sweep of one embedder/scorer pair: shard counts x thread
+/// counts x p values, Retrieve and RetrieveBatch.
 void ExpectShardedMatchesMono(const Stack& s, const Embedder& embedder,
                               const FilterScorer& scorer, size_t k) {
   EmbeddedDatabase db = EmbedDatabase(embedder, s.oracle, s.db_ids);
@@ -73,7 +73,6 @@ void ExpectShardedMatchesMono(const Stack& s, const Embedder& embedder,
     for (size_t threads : {1u, 2u, 4u}) {
       ShardedEngineOptions options;
       options.num_shards = num_shards;
-      options.scatter_threads = threads;
       ShardedRetrievalEngine sharded(&embedder, &scorer, db, s.db_ids,
                                      options);
       ASSERT_EQ(sharded.size(), mono.size());
@@ -82,7 +81,8 @@ void ExpectShardedMatchesMono(const Stack& s, const Embedder& embedder,
       for (size_t p : {size_t{1}, size_t{5}, size_t{20}, s.db_ids.size()}) {
         for (size_t qi = 0; qi < queries.size(); ++qi) {
           auto want = mono.Retrieve({queries[qi], RetrievalOptions(k, p)});
-          auto got = sharded.Retrieve({queries[qi], RetrievalOptions(k, p)});
+          auto got =
+              sharded.Retrieve({queries[qi], test::Opts(k, p, threads)});
           ASSERT_TRUE(want.ok() && got.ok());
           std::string context = "S=" + std::to_string(num_shards) +
                                 " threads=" + std::to_string(threads) +

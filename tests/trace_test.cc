@@ -196,7 +196,6 @@ struct TraceStack {
   static ShardedEngineOptions ShardOptions() {
     ShardedEngineOptions options;
     options.num_shards = 3;
-    options.scatter_threads = 1;
     return options;
   }
 
